@@ -111,8 +111,14 @@ def is_subsequence(needle: list[str], haystack: list[str]) -> bool:
     n, h = len(needle), len(haystack)
     if n == 0 or n > h:
         return False
-    first = needle[0]
-    for i in range(h - n + 1):
-        if haystack[i] == first and haystack[i : i + n] == needle:
-            return True
-    return False
+    first, i, stop = needle[0], 0, h - n + 1
+    # list.index scans for the first token at C speed; only its
+    # occurrences pay a slice compare
+    try:
+        while True:
+            i = haystack.index(first, i, stop)
+            if haystack[i : i + n] == needle:
+                return True
+            i += 1
+    except ValueError:
+        return False

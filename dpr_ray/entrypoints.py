@@ -360,17 +360,20 @@ def _i6_ranked_fetch(index_dir: str, method: str = "taat") -> pd.DataFrame | Non
 # re-paid a full retrieval execution (seconds of fixed dispatch each, the
 # measured CLAUDE.md lesson). Same pattern/lifetime as _ngram_pairs_memo;
 # bench.py clears all three between repetitions so per-leg timings stay
-# honest.
+# honest. Keyed on the index dir, not the sf path: ensure_index's dir
+# embeds the documents.parquet fingerprint, so a corpus regenerated at the
+# same path misses the memo instead of serving the old corpus's frame.
 _bm25_results_memo: dict[tuple[str, str], pd.DataFrame] = {}
 _qa_eval_memo: dict[str, pd.DataFrame] = {}
 
 
 def _bm25_results(sf_dir: str, method: str = "taat") -> pd.DataFrame:
-    memo_key = (sf_dir, method)
+    index_dir = ensure_index(sf_dir)
+    memo_key = (index_dir, method)
     hit = _bm25_results_memo.get(memo_key)
     if hit is not None:
         return hit
-    res = _i6_ranked_fetch(ensure_index(sf_dir), method)
+    res = _i6_ranked_fetch(index_dir, method)
     if res is None:
         # "score" included: q_bm25_topk's three-method bitwise compare
         # reads it even on empty results
@@ -498,7 +501,8 @@ def _qa_eval_df(sf_dir: str) -> pd.DataFrame:
     from .eval.qa import AttachHasAnswer
     from .query.executor import DocJoin, doc_join_copartitioned
 
-    hit = _qa_eval_memo.get(sf_dir)
+    index_dir = ensure_index(sf_dir)
+    hit = _qa_eval_memo.get(index_dir)
     if hit is not None:
         return hit
     res = _bm25_results(sf_dir)
@@ -507,7 +511,6 @@ def _qa_eval_df(sf_dir: str) -> pd.DataFrame:
         return _typed_empty(
             qid=str, rank="int64", docid="int64", has_answer=bool,
         )
-    index_dir = ensure_index(sf_dir)
     ans_ref = ray.put({qid: a for qid, _q, a in BM25_QUERIES})
     joined = ray.data.from_pandas(res[["qid", "rank", "docid"]]).map_batches(
         DocJoin,
@@ -543,7 +546,7 @@ def _qa_eval_df(sf_dir: str) -> pd.DataFrame:
         raise AssertionError(
             "co-partitioned doc join diverged from per-batch probe"
         )
-    _qa_eval_memo[sf_dir] = out
+    _qa_eval_memo[index_dir] = out
     return out
 
 

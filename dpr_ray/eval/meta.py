@@ -11,7 +11,7 @@ import zlib
 
 import pyarrow as pa
 
-from .qa import has_answer_regex, has_answer_string
+from .qa import AttachHasAnswer, match_batch
 
 
 def attach_meta(batch: pa.Table, text_col: str = "content",
@@ -23,33 +23,27 @@ def attach_meta(batch: pa.Table, text_col: str = "content",
     return batch.append_column("meta", pa.array(blobs, pa.large_binary()))
 
 
-class AttachHasAnswerFromMeta:
+class AttachHasAnswerFromMeta(AttachHasAnswer):
     """Like AttachHasAnswer but reads the carried compressed text and
     prepends the title (reference meta_compressed + title handling)."""
 
     def __init__(self, answers_ref, match: str = "string",
                  prepend_title: bool = True):
-        import ray
-
-        self.answers = ray.get(answers_ref) if answers_ref is not None else {}
-        self.match = match
+        super().__init__(answers_ref, match)
         self.prepend_title = prepend_title
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["qid"].to_pylist()
         titles = (
             batch["title"].to_pylist()
             if self.prepend_title and "title" in batch.column_names
             else [None] * batch.num_rows
         )
-        # explicit map (KeyError on an unknown mode): the old
-        # everything-but-string-is-regex fallback silently compiled
-        # match='kilt' (or any typo) as regex patterns
-        fn = {"string": has_answer_string, "regex": has_answer_regex}[
-            self.match
-        ]
-        flags = []
-        for qid, blob, title in zip(qids, batch["meta"].to_pylist(), titles):
+        # explicit modes (KeyError on any other): the old fallback silently
+        # compiled match='kilt' (or any typo) as regex patterns
+        if self.match not in ("string", "regex"):
+            raise KeyError(self.match)
+        codes, distinct = [], {}
+        for blob, title in zip(batch["meta"].to_pylist(), titles):
             text = zlib.decompress(blob).decode()
             if title:
                 # the reference's ' . ' separator (qa_validation.py:167)
@@ -57,5 +51,7 @@ class AttachHasAnswerFromMeta:
                 # answer span the title/text boundary as a contiguous
                 # token subsequence the reference would reject
                 text = f"{title} . {text}"
-            flags.append(fn(self.answers.get(qid, []), text))
-        return batch.append_column("has_answer", pa.array(flags, pa.bool_()))
+            codes.append(distinct.setdefault(text, len(distinct)))
+        qids = batch["qid"].to_pylist()
+        flags = match_batch(self.match, self.answers, qids, codes, list(distinct))
+        return batch.append_column("has_answer", flags)

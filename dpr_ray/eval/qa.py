@@ -20,6 +20,9 @@ The per-rank validation runs as a ``map_batches`` stage over the result
 Dataset (the reference forks a 16-worker multiprocessing pool with the whole
 passage dict copied into each fork — ``qa_validation.py:56-68``; here docs
 arrive via the DocJoin stage and answers via a ray.put broadcast).
+``match_batch`` prepares each DISTINCT text (keyed on its value) and each
+qid's answers once per batch. Nothing after retrieval shuffles: per-block
+partials of ``top_k_hits`` and the rows of ``save_results`` fold on the driver.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from __future__ import annotations
 import json
 import string
 import unicodedata
+from operator import itemgetter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import regex as re
 
 from .. import analyzer
@@ -40,11 +46,13 @@ def normalize_question(q: str) -> str:
     return q.replace("’", "'")
 
 
+_DROP_PUNCT = str.maketrans("", "", string.punctuation)
+
+
 def normalize_answer(s: str) -> str:
     # reference order (qa_validation.py:218-232): lower → strip punctuation
     # → remove articles → squeeze whitespace
-    s = s.lower()
-    s = "".join(ch for ch in s if ch not in frozenset(string.punctuation))
+    s = s.lower().translate(_DROP_PUNCT)
     s = re.sub(r"\b(a|an|the)\b", " ", s)
     return " ".join(s.split())
 
@@ -53,45 +61,79 @@ def exact_match_score(prediction: str, ground_truth: str) -> bool:
     return normalize_answer(prediction) == normalize_answer(ground_truth)
 
 
-def has_answer_string(answers: list[str], text: str) -> bool:
-    text_toks = analyzer.tokenize(text)
-    for a in answers:
-        a_toks = analyzer.tokenize(a)
-        if a_toks and analyzer.is_subsequence(a_toks, text_toks):
-            return True
-    return False
-
-
-def has_answer_regex(answers: list[str], text: str) -> bool:
-    text = unicodedata.normalize("NFD", text)
-    for a in answers:
-        # the PATTERN is NFD-normalized too (qa_validation.py:197-198
-        # runs _normalize(single_answer) before regex_match): a composed
-        # 'café' pattern would never match the decomposed text
-        a = unicodedata.normalize("NFD", a)
-        try:
-            pat = re.compile(a, flags=re.IGNORECASE + re.UNICODE + re.MULTILINE)
-        except Exception:
-            # any compile failure matches nothing (regex_match catches
-            # BaseException; re.error alone missed e.g. TypeError/
-            # RecursionError from pathological patterns)
-            continue
-        if pat.search(text) is not None:
-            return True
-    return False
-
-
 def normalize_kilt(s: str) -> str:
     """Reference ``qa_validation.py:298-314`` (same pipeline as
     normalize_answer: lower → strip punctuation → drop articles → squeeze)."""
     return normalize_answer(s)
 
 
-def has_answer_kilt(answers: list[str], text: str) -> bool:
-    """KILT match mode: normalized substring containment
-    (``qa_validation.py:288-294``)."""
-    text = normalize_kilt(text)
-    return any(normalize_kilt(a) in text for a in answers if a)
+def _regex_answers(answers: list[str]) -> list:
+    # the PATTERN is NFD-normalized too (qa_validation.py:197-198 runs
+    # _normalize(single_answer) before regex_match): a composed 'café'
+    # pattern would never match the decomposed text
+    pats = []
+    for a in answers:
+        try:
+            pats.append(re.compile(unicodedata.normalize("NFD", a),
+                                   flags=re.IGNORECASE + re.UNICODE + re.MULTILINE))
+        except Exception:
+            # any compile failure matches nothing (regex_match catches
+            # BaseException; re.error alone missed e.g. TypeError/
+            # RecursionError from pathological patterns)
+            continue
+    return pats
+
+
+# match mode → (prepare one qid's answers, prepare one text, match the two).
+# kilt (qa_validation.py:288-294): normalized substring containment; the
+# empty-answer filter runs BEFORE normalizing, as in the reference.
+_MODES = {
+    "string": (
+        lambda answers: [t for t in map(analyzer.tokenize, answers) if t],
+        analyzer.tokenize,
+        lambda ans, toks: any(analyzer.is_subsequence(a, toks) for a in ans),
+    ),
+    "regex": (
+        _regex_answers,
+        analyzer.nfd,
+        lambda pats, text: any(p.search(text) is not None for p in pats),
+    ),
+    "kilt": (
+        lambda answers: [normalize_kilt(a) for a in answers if a],
+        normalize_kilt,
+        lambda ans, text: any(a in text for a in ans),
+    ),
+}
+
+
+def _per_row(match: str):
+    def has_answer(answers: list[str], text: str | None) -> bool:
+        prep_answers, prep_text, hit = _MODES[match]
+        # a null text (a docid the join could not find) matches nothing
+        return text is not None and hit(prep_answers(answers), prep_text(text))
+
+    return has_answer
+
+
+has_answer_string = _per_row("string")
+has_answer_regex = _per_row("regex")
+has_answer_kilt = _per_row("kilt")
+
+
+def match_batch(match: str, answers: dict, qids: list, codes: list,
+                texts: list) -> pa.Array:
+    """has_answer per row: row i's text is ``texts[codes[i]]`` (the batch's
+    distinct non-null texts), or null when ``codes[i]`` is None. Each
+    distinct text and each qid's answers are prepared once per batch."""
+    prep_answers, prep_text, hit = _MODES[match]
+    prepared = [prep_text(t) for t in texts]
+    by_qid: dict = {}
+    flags = []
+    for qid, code in zip(qids, codes):
+        if code is not None and qid not in by_qid:
+            by_qid[qid] = prep_answers(answers.get(qid, []))
+        flags.append(code is not None and hit(by_qid[qid], prepared[code]))
+    return pa.array(flags, pa.bool_())
 
 
 class AttachHasAnswer:
@@ -101,45 +143,39 @@ class AttachHasAnswer:
     fetched per actor/task in __init__, never re-shipped per batch."""
 
     def __init__(self, answers_ref, match: str = "string"):
-        import ray
-
         self.answers = ray.get(answers_ref) if answers_ref is not None else {}
         self.match = match
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch["qid"].to_pylist()
-        texts = batch["content"].to_pylist()
-        fn = {
-            "string": has_answer_string,
-            "regex": has_answer_regex,
-            "kilt": has_answer_kilt,
-        }[self.match]
-        flags = [
-            fn(self.answers.get(qid, []), text) for qid, text in zip(qids, texts)
-        ]
-        return batch.append_column("has_answer", pa.array(flags, pa.bool_()))
+        enc = pc.dictionary_encode(batch["content"].combine_chunks())
+        flags = match_batch(
+            self.match, self.answers, batch["qid"].to_pylist(),
+            enc.indices.to_pylist(), enc.dictionary.to_pylist(),
+        )
+        return batch.append_column("has_answer", flags)
 
 
 def top_k_hits(results_ds, n_queries: int, k: int):
     """Cumulative hits@1..k over a result Dataset that carries (qid, rank,
-    has_answer). Distributed partial+final: per-block histogram of first-hit
-    ranks, summed on the driver (the per-qid reduce is a groupby)."""
-    import pyarrow.compute as pc_
+    has_answer). Partial + final with no shuffle: each block maps to one
+    (qid, best_hit) row per qid with a hit in it; the driver keeps the min
+    per qid (a qid's rows may span blocks), then histograms and cumsums."""
 
-    def best_hit(group: pa.Table) -> pa.Table:
-        ranks = group["rank"].to_numpy(zero_copy_only=False)
-        hits = group["has_answer"].to_numpy(zero_copy_only=False)
-        hit_ranks = ranks[hits]
-        best = int(hit_ranks.min()) if len(hit_ranks) else 0  # 1-based; 0 = none
-        return pa.table({"qid": group["qid"][:1], "best_hit": pa.array([best], pa.int32())})
+    def best_hits(batch: pa.Table) -> pa.Table:
+        hit = batch.filter(pc.fill_null(batch["has_answer"], False))
+        g = hit.group_by("qid").aggregate([("rank", "min")])
+        return pa.table({"qid": g["qid"], "best_hit": g["rank_min"]})
 
-    bh = results_ds.groupby("qid").map_groups(best_hit, batch_format="pyarrow")
-    counts = np.zeros(k, dtype=np.int64)
-    for b in bh.iter_batches(batch_format="pyarrow"):
-        ranks = b["best_hit"].to_numpy(zero_copy_only=False)
-        ranks = ranks[(ranks > 0) & (ranks <= k)]
-        np.add.at(counts, ranks - 1, 1)
-    cum = np.cumsum(counts)
+    best: dict = {}
+    parts = results_ds.select_columns(["qid", "rank", "has_answer"]).map_batches(
+        best_hits, batch_format="pyarrow"
+    )
+    for b in parts.iter_batches(batch_format="pyarrow"):
+        for qid, r in zip(b["qid"].to_pylist(), b["best_hit"].to_pylist()):
+            best[qid] = min(r, best.get(qid, r))
+    ranks = np.fromiter(best.values(), dtype=np.int64, count=len(best))
+    ranks = ranks[(ranks > 0) & (ranks <= k)]  # 1-based; past k is no hit
+    cum = np.cumsum(np.bincount(ranks - 1, minlength=k))
     return {
         "n_queries": n_queries,
         "top_k_hits": cum.tolist(),
@@ -147,56 +183,24 @@ def top_k_hits(results_ds, n_queries: int, k: int):
     }
 
 
-def assemble_results(results_ds, answers_ref=None):
-    """Result Dataset (qid, question, rank, docid, score, ext_id, title,
-    content, has_answer) → per-question Dataset matching the reference's
-    output JSON schema (``dense_retriever.py:356-369``; FIXTURES.md F5):
-    {question, answers, ctxs: [{id, title, text, score, has_answer}]}
-    with ctxs score-desc and score stringified at 6 decimals."""
-    import ray
-
-    answers = ray.get(answers_ref) if answers_ref is not None else {}
-
-    def per_question(group: pa.Table) -> pa.Table:
-        rows = sorted(group.to_pylist(), key=lambda r: r["rank"])
-        qid = rows[0]["qid"]
-        ctxs = [
-            {
-                "id": r["ext_id"],
-                "title": r["title"],
-                "text": r["content"],
-                "score": f"{r['score']:.6f}",
-                "has_answer": bool(r["has_answer"]),
-            }
-            for r in rows
-        ]
-        return pa.table(
-            {
-                "qid": pa.array([qid]),
-                "question": pa.array([rows[0]["question"]]),
-                "answers": pa.array([answers.get(qid, [])], pa.list_(pa.string())),
-                "ctxs": pa.array([json.dumps(ctxs)]),
-            }
-        )
-
-    return results_ds.groupby("qid").map_groups(per_question, batch_format="pyarrow")
-
-
 def save_results(results_ds, out_path: str, answers_ref=None) -> int:
-    """Write the reference-shaped results JSON (single file, like
-    ``save_results`` — small per-query output, safe to stream to driver)."""
-    assembled = assemble_results(results_ds, answers_ref)
+    """Write the reference-shaped results JSON (``dense_retriever.py:356-369``;
+    FIXTURES.md F5): per question with result rows {question, answers, ctxs:
+    [{id, title, text, score (6-decimal string), has_answer}]}, ctxs in rank
+    order, entries sorted by (question, qid); rows fold per qid on the driver."""
+    answers = ray.get(answers_ref) if answers_ref is not None else {}
+    cols = ["qid", "question", "rank", "ext_id", "title", "content", "score", "has_answer"]
+    by_qid: dict = {}
+    for b in results_ds.iter_batches(batch_format="pyarrow"):
+        rows = zip(*(b[c].to_pylist() for c in cols))
+        for qid, question, rank, ext_id, title, text, score, hit in rows:
+            ctx = {"id": ext_id, "title": title, "text": text,
+                   "score": f"{score:.6f}", "has_answer": bool(hit)}
+            by_qid.setdefault(qid, (question, []))[1].append((rank, ctx))
     out = []
-    for b in assembled.iter_batches(batch_format="pyarrow"):
-        for r in b.to_pylist():
-            out.append(
-                {
-                    "question": r["question"],
-                    "answers": r["answers"],
-                    "ctxs": json.loads(r["ctxs"]),
-                }
-            )
-    out.sort(key=lambda r: r["question"])
+    for qid, (question, ctxs) in sorted(by_qid.items(), key=lambda e: (e[1][0], e[0])):
+        out.append({"question": question, "answers": answers.get(qid, []),
+                    "ctxs": [c for _, c in sorted(ctxs, key=itemgetter(0))]})
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1)
     return len(out)

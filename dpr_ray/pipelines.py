@@ -29,6 +29,8 @@ def retrieve_and_evaluate(
     Result Dataset rows: qid, question, rank, docid, score, ext_id, title,
     content, has_answer — the flattened form of the reference's output JSON.
     Metrics replicate ``top_k_hits`` accuracy (``qa_validation.py:72-79``).
+    Nothing after retrieval shuffles: answer matching is per batch, and
+    the metrics and the results JSON reduce on the driver.
     """
     ensure_shippable()
     answers_map = {

@@ -586,7 +586,9 @@ def lsh_knn(
                     row = self.qmat[self.qid_to_row[qid]] @ sub.T
                     part = _local_topk_idx(row, min(k, len(row)))
                     out_q.extend([qid] * len(part))
-                    out_v.extend(sub_ids[part].astype(np.int64).tolist())
+                    # python ints, not astype(int64): a uint64 id >= 2^63
+                    # must fail the int64 output array, not wrap negative
+                    out_v.extend(sub_ids[part].tolist())
                     out_s.extend(row[part].tolist())
             return pa.table(
                 {

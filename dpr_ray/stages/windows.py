@@ -44,7 +44,13 @@ def tumbling_window_agg(
     value_col: str = "value",
 ):
     """→ Dataset (window_start: timestamp[us], <key_col>, n_events,
-    sum_value): tumbling-window count + sum per key."""
+    sum_value): tumbling-window count + sum per key.
+
+    A ``timestamp[ns]`` ``ts_col`` must be microsecond-aligned: it is
+    rescaled by a safe cast to ``timestamp[us]``, which raises
+    ``ArrowInvalid`` on any event with a sub-microsecond component rather
+    than truncating it (floor the column to µs upstream if that loss is
+    acceptable). Integer columns are read as epoch µs."""
     ensure_shippable()
     unit = _UNIT_US[window]
 
@@ -109,7 +115,11 @@ def hopping_window_agg(
     ``(ts // hop - i) * hop`` for ``i in 0..k-1``), so the per-batch
     expansion factor is the fixed constant k — partials stay one row per
     (window, key) per batch and the shuffle moves partials, not the
-    k-times-replicated events."""
+    k-times-replicated events.
+
+    Timestamps are read as in ``tumbling_window_agg``: a ``timestamp[ns]``
+    column must be microsecond-aligned (the safe cast to ``timestamp[us]``
+    raises ``ArrowInvalid`` on sub-microsecond parts)."""
     ensure_shippable()
     if window_us % hop_us:
         raise ValueError("window_us must be a multiple of hop_us")

@@ -71,6 +71,18 @@ def test_is_subsequence():
     assert not analyzer.is_subsequence(["be", "not"], hay)
     assert not analyzer.is_subsequence([], hay)
     assert not analyzer.is_subsequence(["to"] * 7, hay)
+    # every window against the reference's plain loop, near-misses included
+    import random
+
+    rng = random.Random(7)
+    for _ in range(3000):
+        hay = rng.choices("abc", k=rng.randint(0, 9))
+        needle = rng.choices("abc", k=rng.randint(1, 4))
+        want = any(
+            hay[i : i + len(needle)] == needle
+            for i in range(len(hay) - len(needle) + 1)
+        )
+        assert analyzer.is_subsequence(needle, hay) == want, (needle, hay)
 
 
 def test_space_token_counts_duckdb_parity():

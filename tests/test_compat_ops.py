@@ -698,6 +698,29 @@ def test_minhash_lsh_guards(ray_session, tmp_path):
         ).to_pandas()
 
 
+def test_lsh_knn_rejects_uint64_id_past_int64(ray_session):
+    """A uint64 vec_id >= 2^63 cannot be an int64 output id: lsh_knn must
+    fail loudly instead of wrapping it to a negative id."""
+    import pytest
+    import ray.data
+
+    from dpr_ray.stages import ann
+
+    d = 8
+    vecs = np.ones((2, d))
+    tbl = pa.table(
+        {
+            "vec_id": pa.array([1, 1 << 63], pa.uint64()),
+            "embedding": pa.array([v.tolist() for v in vecs],
+                                  pa.list_(pa.float64())),
+        }
+    )
+    with pytest.raises(Exception, match="too large|out of range|overflow"):
+        ann.lsh_knn(
+            ray.data.from_arrow(tbl), [0], vecs[:1], k=2, n_bits=2, n_probe=4,
+        ).to_pandas()
+
+
 def test_lsh_knn_excludes_before_topk(ray_session):
     """BucketTopK must drop exclude_ids BEFORE bucket-local top-k
     selection (the _BatchTopK contract): filtered after, an excluded id

@@ -14,6 +14,18 @@ def test_normalize_answer_reference_order():
     assert qa.normalize_answer("The  Cat!") == "cat"
     assert qa.normalize_answer("a.b") == "ab"  # punct gone BEFORE article pass
     assert qa.normalize_answer("An apple") == "apple"
+    # the punctuation strip equals the reference's per-char filter
+    import random
+    import string
+
+    import regex
+
+    rng = random.Random(3)
+    for _ in range(2000):
+        s = "".join(rng.choices(string.printable + "éß’“", k=rng.randint(0, 20)))
+        want = "".join(ch for ch in s.lower() if ch not in string.punctuation)
+        want = " ".join(regex.sub(r"\b(a|an|the)\b", " ", want).split())
+        assert qa.normalize_answer(s) == want, s
 
 
 def test_exact_match():
@@ -120,8 +132,241 @@ def test_retrieve_and_evaluate_end_to_end(ray_session, tmp_path, match):
     # q0's planted answer must be found at rank 1 (its docs contain the term)
     assert metrics["top_k_hits"][0] >= 1
     data = json.load(open(out_json))
-    assert len(data) == 1 or len(data) == 2  # q1 may return 0 ctxs → dropped by groupby
+    # q1 may retrieve nothing: a question without result rows has no entry
+    assert len(data) == 1 or len(data) == 2
     q0 = [d for d in data if d["question"] == "answer_0"][0]
     assert q0["ctxs"][0]["has_answer"] is True
     scores = [float(c["score"]) for c in q0["ctxs"]]
     assert scores == sorted(scores, reverse=True)
+
+
+# ------------------------------------------------ per-batch distinct match --
+
+PER_ROW = {
+    "string": qa.has_answer_string,
+    "regex": qa.has_answer_regex,
+    "kilt": qa.has_answer_kilt,
+}
+SHARED = "the big cat sat on the café mat"
+OTHER = "a dog barked at the CAT near the door"
+# answers per mode: a regex-only pattern, a bad pattern and answers that
+# tokenize (or normalize) to nothing ride along in every mode
+MATCH_ANSWERS = {
+    "qa": ["big cat", r"ca[tf]é"],
+    "qb": ["dog", "(unclosed"],
+    "qc": ["CAFÉ mat"],
+    "qd": ["", "   "],
+    "qe": ["door"],
+}
+
+
+def _match_batches():
+    """Batches whose texts repeat under several qids; qe's rows carry
+    different texts; one row has a null content; one batch has no rows;
+    one content column comes in two chunks."""
+    rows = [
+        ("qa", SHARED), ("qb", SHARED), ("qc", SHARED), ("qd", SHARED),
+        ("qa", OTHER), ("qb", OTHER), ("qe", SHARED), ("qe", OTHER),
+        ("qe", None), ("qzz", OTHER), ("qa", SHARED),
+    ]
+
+    def table(rs):
+        return pa.table({
+            "qid": pa.array([q for q, _ in rs], pa.string()),
+            "content": pa.array([t for _, t in rs], pa.large_string()),
+        })
+
+    return [
+        table(rows),
+        table([]),
+        pa.concat_tables([table(rows[:5]), table(rows[5:])]),
+    ]
+
+
+@pytest.mark.parametrize("match", ["string", "regex", "kilt"])
+def test_attach_has_answer_matches_per_row_loop(ray_session, match):
+    """The per-batch distinct-text match gives the flags of a per-row
+    has_answer_* loop over the same rows."""
+    import ray
+
+    attach = qa.AttachHasAnswer(ray.put(MATCH_ANSWERS), match=match)
+    for batch in _match_batches():
+        got = attach(batch)
+        assert got.schema.field("has_answer").type == pa.bool_()
+        want = [
+            PER_ROW[match](MATCH_ANSWERS.get(q, []), t)
+            for q, t in zip(batch["qid"].to_pylist(), batch["content"].to_pylist())
+        ]
+        assert got["has_answer"].to_pylist() == want
+        assert got.drop(["has_answer"]).equals(batch)
+    flags = attach(_match_batches()[0])["has_answer"].to_pylist()
+    # a null text matches nothing in every mode
+    assert flags[8] is False
+    # answers that tokenize to nothing never match in string mode; the
+    # empty regex pattern and KILT's normalized-away "   " match anything
+    assert flags[3] is (match != "string")
+    # repeated texts still match per qid: qa hits SHARED, qb does not
+    assert flags[0] is True and flags[1] is False and flags[10] is True
+
+
+@pytest.mark.parametrize("match", ["string", "regex"])
+@pytest.mark.parametrize("prepend_title", [True, False])
+def test_attach_has_answer_from_meta_matches_per_row_loop(
+    ray_session, match, prepend_title
+):
+    import ray
+
+    from dpr_ray.eval.meta import AttachHasAnswerFromMeta, attach_meta
+
+    titles = ["Big", "Big", "Door", None, "", "Big", "Door"]
+    texts = [SHARED, SHARED, OTHER, OTHER, SHARED, OTHER, OTHER]
+    qids = ["qa", "qb", "qe", "qe", "qd", "qa", "qzz"]
+    for n in (len(qids), 0):
+        batch = attach_meta(pa.table({
+            "qid": pa.array(qids[:n], pa.string()),
+            "title": pa.array(titles[:n], pa.string()),
+            "content": pa.array(texts[:n], pa.string()),
+        }))
+        attach = AttachHasAnswerFromMeta(
+            ray.put(MATCH_ANSWERS), match=match, prepend_title=prepend_title
+        )
+        want = [
+            PER_ROW[match](
+                MATCH_ANSWERS.get(q, []),
+                f"{ti} . {te}" if prepend_title and ti else te,
+            )
+            for q, ti, te in zip(qids[:n], titles[:n], texts[:n])
+        ]
+        assert attach(batch)["has_answer"].to_pylist() == want
+
+
+def test_top_k_hits_qid_split_across_blocks(ray_session):
+    """One qid's rows span two blocks with its best hit in the second: the
+    per-block partials must be min-combined on the driver. Hits past k
+    and zero-hit qids count nothing."""
+    import ray.data
+
+    rows = [
+        # block 1
+        {"qid": "qs", "rank": 1, "has_answer": False},
+        {"qid": "qs", "rank": 3, "has_answer": True},
+        {"qid": "q1", "rank": 1, "has_answer": True},
+        {"qid": "qfar", "rank": 1, "has_answer": False},
+        # block 2
+        {"qid": "qs", "rank": 2, "has_answer": True},
+        {"qid": "qfar", "rank": 5, "has_answer": True},
+        {"qid": "qnone", "rank": 1, "has_answer": False},
+        {"qid": "qnone", "rank": 2, "has_answer": False},
+    ]
+    ds = ray.data.from_items(rows, override_num_blocks=2).materialize()
+    blocks = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert [b.num_rows for b in blocks] == [4, 4]
+    assert {"qid": "qs", "rank": 2, "has_answer": True} in blocks[1].to_pylist()
+    m = qa.top_k_hits(ds, n_queries=4, k=3)
+    assert m["top_k_hits"] == [1, 2, 2]
+    assert m["top_k_accuracy"] == [1 / 4, 2 / 4, 2 / 4]
+
+
+def test_save_results_bytes_match_oracle_golden(ray_session, tmp_path, monkeypatch):
+    """save_results writes the oracle-built golden byte for byte: qids
+    sharing one question text are ordered by qid, a question that
+    retrieves nothing has no entry, and neither top_k_hits nor
+    save_results runs a groupby or sort."""
+    import ray.data
+
+    from dpr_ray import corpus as corpus_mod
+    from dpr_ray.config import BM25Params
+    from dpr_ray.index.build import build_index
+    from dpr_ray.pipelines import retrieve_and_evaluate
+    from dpr_ray.query.oracle import BruteForceBM25
+    from dpr_ray.stages.featurize import docid_from_ext_id
+
+    tbl = corpus_mod.synth_corpus_table(40, seed=29)
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(tbl), idx, docid_strategy="hash64")
+    cases = [
+        ("z9", "answer_5 class", ["answer_5"]),
+        ("a1", "answer_5 class", ["zzz", "class"]),
+        ("m5", "answer_5 class", []),
+        ("b2", "def struct", ["struct"]),
+        ("n0", "zzqqxx", ["anything"]),
+    ]
+    queries = pa.table({
+        "qid": pa.array([c[0] for c in cases]),
+        "question": pa.array([c[1] for c in cases]),
+        "answers": pa.array([c[2] for c in cases], pa.list_(pa.string())),
+    })
+
+    out_json = tmp_path / "results.json"
+    res, metrics = retrieve_and_evaluate(queries, idx, k=5, out_json=str(out_json))
+
+    ext = [f"{r}/{p}" for r, p in zip(tbl["repo"].to_pylist(), tbl["path"].to_pylist())]
+    docids = [docid_from_ext_id(e) for e in ext]
+    by_id = {d: (e, c) for d, e, c in zip(docids, ext, tbl["content"].to_pylist())}
+    oracle = BruteForceBM25(docids, tbl["content"].to_pylist(), BM25Params())
+    golden = []
+    for qid, question, answers in sorted(cases, key=lambda c: (c[1], c[0])):
+        ctxs = []
+        for d, s in oracle.top_k(question, 5):
+            e, c = by_id[d]
+            ctxs.append({
+                "id": e, "title": e, "text": c, "score": f"{s:.6f}",
+                "has_answer": qa.has_answer_string(answers, c),
+            })
+        if ctxs:
+            golden.append({"question": question, "answers": answers, "ctxs": ctxs})
+    assert [g["question"] for g in golden] == ["answer_5 class"] * 3 + ["def struct"]
+    assert [g["answers"] for g in golden][:3] == [["zzz", "class"], [], ["answer_5"]]
+    assert any(c["has_answer"] for g in golden for c in g["ctxs"])
+    golden_path = tmp_path / "golden.json"
+    with open(golden_path, "w") as f:
+        json.dump(golden, f, indent=1)
+    assert out_json.read_bytes() == golden_path.read_bytes()
+
+    # the eval tail runs no shuffle: the same metrics and bytes again with
+    # Dataset.groupby/sort disabled
+    import ray
+    import ray.data.dataset as dataset_mod
+
+    def no_shuffle(*a, **kw):
+        raise AssertionError("groupby/sort after retrieval")
+
+    monkeypatch.setattr(dataset_mod.Dataset, "groupby", no_shuffle)
+    monkeypatch.setattr(dataset_mod.Dataset, "sort", no_shuffle)
+    assert qa.top_k_hits(res, n_queries=len(cases), k=5) == metrics
+    again = tmp_path / "again.json"
+    answers_ref = ray.put({c[0]: c[2] for c in cases})
+    assert qa.save_results(res, str(again), answers_ref) == len(golden)
+    assert again.read_bytes() == golden_path.read_bytes()
+
+
+def test_retrieval_memos_follow_regenerated_corpus(ray_session, tmp_path):
+    """The per-process retrieval memos are keyed on the fingerprinted
+    index dir: a documents.parquet regenerated at the same path must not
+    be served the old corpus's frames."""
+    import pyarrow.parquet as pq
+
+    from dpr_ray import entrypoints as ep
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+
+    def write(docs: dict):
+        pq.write_table(
+            pa.table({
+                "doc_id": pa.array(list(docs), pa.int64()),
+                "text": list(docs.values()),
+                "lang": ["en"] * len(docs),
+                "source": ["src0"] * len(docs),
+            }),
+            str(sf / "documents.parquet"),
+        )
+
+    write({1: "key value table", 2: "fast merge sort", 3: "vector hash"})
+    assert set(ep._bm25_results(str(sf))["docid"]) == {1, 2, 3}
+    assert set(ep._qa_eval_df(str(sf))["docid"]) == {1, 2, 3}
+    write({7: "a key value table row", 8: "vector hash vector", 9: "slow scan"})
+    assert set(ep._bm25_results(str(sf))["docid"]) == {7, 8, 9}
+    fresh = ep._qa_eval_df(str(sf))
+    assert set(fresh["docid"]) == {7, 8, 9}
+    assert fresh[fresh["qid"] == "q0"]["has_answer"].tolist() == [True]
