@@ -1,9 +1,10 @@
 """Deduplication family: exact, n-gram Jaccard (exact, shuffle-based),
-MinHash+LSH, SimHash. Ray-Data-native shapes per the scale playbook:
+MinHash+LSH, SimHash, duplicate spans. Ray-Data-native shapes per the
+scale playbook:
 
-- exact: content-hash in map_batches → groupby(hash) → first-wins
-  (the reference's only dedup is first-wins on a stringified key,
-  ``dpr/data/biencoder_data.py:379-380``).
+- exact: content-hash in map_batches → sort(hash) → block-level
+  first-wins (the reference's only dedup is first-wins on a stringified
+  key, ``dpr/data/biencoder_data.py:379-380``).
 - n-gram Jaccard: shingle explode (each row carries its doc's shingle-set
   size — no driver-side sizes table) → groupby(shingle) co-occurrence pairs
   → groupby(pair) intersection counts → exact Jaccard. EXACT for any
@@ -19,6 +20,10 @@ MinHash+LSH, SimHash. Ray-Data-native shapes per the scale playbook:
 - SimHash: 62-bit tf-weighted fingerprints (two 31-bit rolling hashes per
   token — SQL-expressible); near-dup candidates via 4×16-bit band equality,
   verified by Hamming distance.
+- duplicate spans: per-batch (span hash, doc) combine → sort(span hash) →
+  block-level n_docs/n_occ. The exact and span finishers run through
+  ``util.map_sorted_groups``: one numpy call per sorted block, not one
+  Python call per key (~10^5 span keys in a corpus).
 
 All hashes are rolling-mod-p31/arithmetic — deterministic across processes
 (never python ``hash()``).
@@ -32,6 +37,7 @@ from itertools import combinations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from .. import analyzer
@@ -39,8 +45,10 @@ from .._shipping import ensure_shippable
 from ..util import (
     P31,
     auto_pool,
+    map_sorted_groups,
     poly_mod31,
     round_half_away,
+    run_starts,
     token_hash31_impl,
     token_hash62_impl,
 )
@@ -127,20 +135,22 @@ def exact_dedup(ds, id_col: str = "docid", text_col: str = "content"):
             {"content_sha": pa.array(sha), "docid": batch[id_col]}
         )
 
-    def first_wins(group: pa.Table) -> pa.Table:
-        ids = group["docid"].to_numpy(zero_copy_only=False)
+    def first_wins(block: pa.Table) -> pa.Table:
+        sha = block["content_sha"].combine_chunks()
+        ids = pc.cast(block["docid"], pa.int64()).combine_chunks().to_numpy()
+        starts = run_starts(pc.dictionary_encode(sha).indices.to_numpy())
         return pa.table(
             {
-                "content_sha": group["content_sha"][:1],
-                "docid_keep": pa.array([int(ids.min())], pa.int64()),
-                "n_dups": pa.array([len(ids)], pa.int64()),
+                "content_sha": sha.take(starts),
+                "docid_keep": pa.array(
+                    np.minimum.reduceat(ids, starts), pa.int64()
+                ),
+                "n_dups": pa.array(np.diff(starts, append=len(ids)), pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(add_sha, batch_format="pyarrow")
-        .groupby("content_sha")
-        .map_groups(first_wins, batch_format="pyarrow")
+    return map_sorted_groups(
+        ds.map_batches(add_sha, batch_format="pyarrow"), "content_sha", first_wins
     )
 
 
@@ -241,7 +251,8 @@ def _finish_pairs(pairs, threshold: float):
     map_groups vs 13-16 s aggregate, same session A/B): Ray's
     multi-aggregate pays its own sort+combine machinery per aggregate,
     which exceeds per-group Python until candidate-pair cardinality is
-    far larger than the ~10^3-10^5 this pipeline produces."""
+    far larger than the ~10^3-10^5 this pipeline produces. Untried lever:
+    ``util.map_sorted_groups`` (same sort, one numpy finisher per block)."""
 
     def finish_pair(group: pa.Table) -> pa.Table:
         da = int(group["docid_a"][0].as_py())
@@ -622,68 +633,66 @@ def duplicate_spans(
     """Window-level (substring) duplication detection — the contamination
     check a pretraining corpus runs below document granularity: → Dataset
     ``(whash, n_docs, n_occ)`` for every ``window``-token rolling span
-    appearing in ≥2 DISTINCT documents.
+    appearing in ≥2 DISTINCT documents, in ascending ``whash`` order.
 
     whash = Horner base-137 fold over the span's per-token 31-bit rolling
     hashes (the ``token_fingerprint`` family — SQL-expressible, so the
     oracle replays it exactly). Vectorized: the fold is ``window`` shifted
     multiply-adds over the doc's token-hash array, no per-window loop.
 
-    Scale shape: per-batch combine to distinct ``(whash, docid, occ)``
-    rows before the ``groupby(whash)`` finisher — the shuffle carries one
-    row per distinct (span, doc), which is the irreducible volume of an
-    exact substring-dedup (suffix-array pipelines move the same). For
-    100-TB corpora, gate with a per-batch Bloom/sketch prefilter; exact
-    output here."""
+    Scale shape: per-batch combine (one lexsort + run-length count) to
+    distinct ``(whash, docid, occ)`` rows — the shuffle carries one row per
+    distinct (span, doc), the irreducible volume of an exact substring-dedup
+    (suffix-array pipelines move the same). The finisher is block-level
+    (``map_sorted_groups``): it lexsorts each whash-sorted block by
+    ``(whash, docid)`` and takes every span's ``n_docs``/``n_occ`` with
+    ``np.add.reduceat``, no Python call per span. Docids must fit int64.
+    For 100-TB corpora, gate with a per-batch Bloom/sketch prefilter;
+    exact output here."""
     ensure_shippable()
-    from collections import Counter
 
     def emit(batch: pa.Table) -> pa.Table:
-        pairs: Counter = Counter()
-        ids = batch[id_col].to_pylist()
+        # safe cast: an id outside int64 raises instead of wrapping
+        ids = pc.cast(batch[id_col], pa.int64()).combine_chunks().to_numpy()
         memo: dict[str, int] = {}
-        for i, toks in enumerate(
-            analyzer.tokenize_batch(batch[text_col].to_pylist())
-        ):
-            h = _span_hashes(toks, window, memo)
-            if len(h) == 0:
-                continue
-            uniq, cnt = np.unique(h, return_counts=True)
-            for wh, c in zip(uniq.tolist(), cnt.tolist()):
-                pairs[(int(wh), int(ids[i]))] += int(c)
-        ks = list(pairs.keys())
+        hs = [
+            _span_hashes(toks, window, memo)
+            for toks in analyzer.tokenize_batch(batch[text_col].to_pylist())
+        ]
+        wh = np.concatenate([np.empty(0, np.uint64), *hs]).astype(np.int64)
+        docs = np.repeat(ids, [len(h) for h in hs])
+        order = np.lexsort((docs, wh))
+        wh, docs = wh[order], docs[order]
+        starts = run_starts(wh, docs)
         return pa.table(
             {
-                "whash": pa.array([k[0] for k in ks], pa.int64()),
-                "docid": pa.array([k[1] for k in ks], pa.int64()),
-                "occ": pa.array([pairs[k] for k in ks], pa.int64()),
+                "whash": pa.array(wh[starts], pa.int64()),
+                "docid": pa.array(docs[starts], pa.int64()),
+                "occ": pa.array(np.diff(starts, append=len(wh)), pa.int64()),
             }
         )
 
-    def finish(group: pa.Table) -> pa.Table:
-        docs = group["docid"].to_numpy(zero_copy_only=False)
-        n_docs = len(np.unique(docs))
-        if n_docs < 2:
-            return pa.table(
-                {
-                    "whash": pa.array([], pa.int64()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "n_occ": pa.array([], pa.int64()),
-                }
-            )
-        occ = int(group["occ"].to_numpy(zero_copy_only=False).sum())
+    def finish(block: pa.Table) -> pa.Table:
+        wh, docs, occ = (
+            block[c].to_numpy() for c in ("whash", "docid", "occ")
+        )
+        order = np.lexsort((docs, wh))
+        wh, docs, occ = wh[order], docs[order], occ[order]
+        span = run_starts(wh)
+        first_of_doc = np.zeros(len(wh), np.int64)
+        first_of_doc[run_starts(wh, docs)] = 1
+        n_docs = np.add.reduceat(first_of_doc, span)
+        keep = n_docs >= 2
         return pa.table(
             {
-                "whash": group["whash"][:1],
-                "n_docs": pa.array([n_docs], pa.int64()),
-                "n_occ": pa.array([occ], pa.int64()),
+                "whash": pa.array(wh[span][keep], pa.int64()),
+                "n_docs": pa.array(n_docs[keep], pa.int64()),
+                "n_occ": pa.array(np.add.reduceat(occ, span)[keep], pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("whash")
-        .map_groups(finish, batch_format="pyarrow")
+    return map_sorted_groups(
+        ds.map_batches(emit, batch_format="pyarrow"), "whash", finish
     )
 
 # ------------------------------------------------- decontamination ---------

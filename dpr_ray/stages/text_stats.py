@@ -10,14 +10,17 @@ import logging
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from .. import analyzer
 from .._shipping import ensure_shippable
 from ..util import (
     auto_pool,
+    map_sorted_groups,
     poly_mod31,
     round_half_away,
+    run_starts,
     to_i6,
     token_hash31_impl,
 )
@@ -224,14 +227,17 @@ def tfidf_topk(ds, id_col: str = "docid", text_col: str = "content",
     each doc by ``tf · ln(N / df)`` (the sparse-retrieval / tagging
     feature every corpus pipeline derives next to the quality scores):
     → Dataset ``(docid, term, tf, df, rank, tfidf_i6)``, rank 1..k per
-    doc under the (score desc, term asc) total order.
+    doc under the (score desc, term asc) total order, docs ascending.
 
     Tokens follow the oracle whitespace convention (literal single-space
     split — one row per distinct (doc, term)). Scale shape: the canonical
-    two-shuffle — per-batch tf rows (map-side combine), ONE groupby(term)
-    attaches df (each term's postings live in one group; no separate df
-    table, no broadcast of an unbounded vocabulary), ONE groupby(doc)
-    takes the local top-k. Scores are round9-snapped so the oracle's
+    two-shuffle — per-batch tf rows (map-side combine), ONE sort(term)
+    attaches df (each term's postings live in one block; no separate df
+    table, no broadcast of an unbounded vocabulary), ONE sort(docid) takes
+    the local top-k. Both finishers are block-level (``map_sorted_groups``,
+    no Python call per term or doc): df is ``dictionary_encode`` +
+    ``bincount``; top-k lexsorts by (docid, score desc, term asc) and keeps
+    each doc's first ``k`` rows. Scores are round9-snapped so the oracle's
     sequential ln/products rank identically (the BM25 discipline)."""
     ensure_shippable()
     from collections import Counter
@@ -257,44 +263,49 @@ def tfidf_topk(ds, id_col: str = "docid", text_col: str = "content",
             }
         )
 
-    def attach_df(group: pa.Table) -> pa.Table:
-        df = group.num_rows  # one row per doc containing this term
-        return group.append_column(
-            "df", pa.array(np.full(df, df, np.int64), pa.int64())
+    def attach_df(block: pa.Table) -> pa.Table:
+        # one row per (doc, term): a term's row count is its df
+        term = block["term"].combine_chunks()
+        idx = pc.dictionary_encode(term).indices.to_numpy()
+        return block.append_column(
+            "df", pa.array(np.bincount(idx)[idx], pa.int64())
         )
 
-    def topk(group: pa.Table) -> pa.Table:
-        tf = group["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
-        df = group["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-        terms = group["term"].to_pylist()
+    def topk(block: pa.Table) -> pa.Table:
+        docid = block["docid"].to_numpy()
+        tf = block["tf"].to_numpy().astype(np.float64)
+        df = block["df"].to_numpy().astype(np.float64)
         score9 = round_half_away(tf * np.log(n_docs / df), 9)
-        order = np.lexsort((np.asarray(terms, dtype=object), -score9))[:k]
-        n = len(order)
+        # Arrow orders strings by UTF-8 bytes = code points = python str
+        term_rank = pc.rank(block["term"], tiebreaker="dense").to_numpy()
+        order = np.lexsort((term_rank, -score9, docid))
+        starts = run_starts(docid[order])
+        rank = np.arange(1, len(order) + 1) - np.repeat(
+            starts, np.diff(starts, append=len(order))
+        )
+        top = rank <= k
+        keep = order[top]
         return pa.table(
             {
-                "docid": group["docid"].take(pa.array(order)),
-                "term": pa.array([terms[i] for i in order], pa.string()),
-                "tf": group["tf"].take(pa.array(order)),
-                "df": group["df"].take(pa.array(order)),
-                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64),
-                                 pa.int64()),
-                "tfidf_i6": pa.array(to_i6(score9[order]), pa.int64()),
+                "docid": block["docid"].take(keep),
+                "term": block["term"].take(keep),
+                "tf": block["tf"].take(keep),
+                "df": block["df"].take(keep),
+                "rank": pa.array(rank[top], pa.int64()),
+                "tfidf_i6": pa.array(to_i6(score9[keep]), pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(attach_df, batch_format="pyarrow")
-        .groupby("docid")
-        .map_groups(topk, batch_format="pyarrow")
+    df_rows = map_sorted_groups(
+        ds.map_batches(tf_rows, batch_format="pyarrow"), "term", attach_df
     )
+    return map_sorted_groups(df_rows, "docid", topk)
 
 
 def _partial_term_counts(ds, text_col: str):
     """Corpus term frequencies: per-batch Counter (map-side combine) →
-    groupby(term) sum. One output row per distinct term, each term in
-    exactly one block (groupby post-condition `_collect_lm` relies on)."""
+    sort(term) → block-level sum. One output row per distinct term, each
+    term in exactly one block (the post-condition `_collect_lm` relies on)."""
     from collections import Counter
 
     def partial_counts(batch: pa.Table) -> pa.Table:
@@ -308,21 +319,19 @@ def _partial_term_counts(ds, text_col: str):
             }
         )
 
-    def sum_group(group: pa.Table) -> pa.Table:
+    def sum_block(block: pa.Table) -> pa.Table:
+        term = block["term"].combine_chunks()
+        starts = run_starts(pc.dictionary_encode(term).indices.to_numpy())
+        cnt = block["cnt"].to_numpy()
         return pa.table(
             {
-                "term": group["term"][:1],
-                "cnt": pa.array(
-                    [int(group["cnt"].to_numpy(zero_copy_only=False).sum())],
-                    pa.int64(),
-                ),
+                "term": term.take(starts),
+                "cnt": pa.array(np.add.reduceat(cnt, starts), pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(sum_group, batch_format="pyarrow")
+    return map_sorted_groups(
+        ds.map_batches(partial_counts, batch_format="pyarrow"), "term", sum_block
     )
 
 

@@ -90,6 +90,26 @@ def to_i6(x) -> np.ndarray:
     return (np.sign(a) * np.floor(np.abs(a) + 0.5)).astype(np.int64)
 
 
+def map_sorted_groups(ds, key, fn):
+    """``ds.groupby(key).map_groups(...)`` with ``fn`` called once per
+    BLOCK, not once per group (~1 ms of Python each). It runs the same
+    ``sort(key)`` shuffle and relies on the same guarantee: every key's rows
+    sit in one block, in ascending key order. ``fn`` gets the block as a
+    pyarrow Table, possibly with zero rows, and reduces all its groups."""
+    return ds.sort(key).map_batches(fn, batch_size=None, batch_format="pyarrow")
+
+
+def run_starts(*cols) -> np.ndarray:
+    """Start index of each run of equal rows in equal-length arrays that
+    are sorted together (the group boundaries of a sorted block)."""
+    n = len(cols[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
 def strip_schema_metadata(batch):
     """Drop file-level schema metadata (e.g. the ``pandas`` blob pyarrow
     embeds on write): a metadata-bearing ``pa.Schema`` is unhashable, so

@@ -443,3 +443,247 @@ def test_curate_job_uint64_ids_kept_exactly(tmp_path):
     ).to_table(columns=["doc_id"])
     got = sorted(int(v) for v in back["doc_id"].to_pylist())
     assert got == sorted(int(v) for v in ids), got
+
+
+# ---- block-level finishers vs the per-group map_groups references ----
+
+
+def _ref_duplicate_spans(ds, window=8):
+    """The per-group ``map_groups`` shape duplicate_spans replaced: Counter
+    emit, one ``finish`` call per span hash."""
+    from collections import Counter
+
+    import numpy as np
+
+    from dpr_ray import analyzer
+    from dpr_ray.stages.dedup import _span_hashes
+
+    def emit(batch):
+        pairs = Counter()
+        ids = batch["docid"].to_pylist()
+        memo = {}
+        for i, toks in enumerate(
+            analyzer.tokenize_batch(batch["content"].to_pylist())
+        ):
+            h = _span_hashes(toks, window, memo)
+            if len(h) == 0:
+                continue
+            uniq, cnt = np.unique(h, return_counts=True)
+            for wh, c in zip(uniq.tolist(), cnt.tolist()):
+                pairs[(int(wh), int(ids[i]))] += int(c)
+        ks = list(pairs.keys())
+        return pa.table(
+            {
+                "whash": pa.array([k[0] for k in ks], pa.int64()),
+                "docid": pa.array([k[1] for k in ks], pa.int64()),
+                "occ": pa.array([pairs[k] for k in ks], pa.int64()),
+            }
+        )
+
+    def finish(group):
+        docs = group["docid"].to_numpy(zero_copy_only=False)
+        n_docs = len(np.unique(docs))
+        if n_docs < 2:
+            return pa.table(
+                {
+                    "whash": pa.array([], pa.int64()),
+                    "n_docs": pa.array([], pa.int64()),
+                    "n_occ": pa.array([], pa.int64()),
+                }
+            )
+        occ = int(group["occ"].to_numpy(zero_copy_only=False).sum())
+        return pa.table(
+            {
+                "whash": group["whash"][:1],
+                "n_docs": pa.array([n_docs], pa.int64()),
+                "n_occ": pa.array([occ], pa.int64()),
+            }
+        )
+
+    return (
+        ds.map_batches(emit, batch_format="pyarrow")
+        .groupby("whash")
+        .map_groups(finish, batch_format="pyarrow")
+    )
+
+
+def _ref_tfidf_topk(ds, k):
+    """The per-group ``map_groups`` shape tfidf_topk replaced: one
+    ``attach_df`` call per term, one ``topk`` call per doc."""
+    from collections import Counter
+
+    import numpy as np
+
+    from dpr_ray.util import round_half_away, to_i6
+
+    n_docs = ds.count()
+
+    def tf_rows(batch):
+        docs, terms, tfs = [], [], []
+        for d, t in zip(
+            batch["docid"].to_pylist(), batch["content"].to_pylist()
+        ):
+            c = Counter(t.split(" "))
+            docs.extend([d] * len(c))
+            terms.extend(c.keys())
+            tfs.extend(c.values())
+        return pa.table(
+            {
+                "docid": pa.array(docs, pa.int64()),
+                "term": pa.array(terms, pa.string()),
+                "tf": pa.array(tfs, pa.int64()),
+            }
+        )
+
+    def attach_df(group):
+        df = group.num_rows
+        return group.append_column(
+            "df", pa.array(np.full(df, df, np.int64), pa.int64())
+        )
+
+    def topk(group):
+        tf = group["tf"].to_numpy(zero_copy_only=False).astype(np.float64)
+        df = group["df"].to_numpy(zero_copy_only=False).astype(np.float64)
+        terms = group["term"].to_pylist()
+        score9 = round_half_away(tf * np.log(n_docs / df), 9)
+        order = np.lexsort((np.asarray(terms, dtype=object), -score9))[:k]
+        n = len(order)
+        return pa.table(
+            {
+                "docid": group["docid"].take(pa.array(order)),
+                "term": pa.array([terms[i] for i in order], pa.string()),
+                "tf": group["tf"].take(pa.array(order)),
+                "df": group["df"].take(pa.array(order)),
+                "rank": pa.array(np.arange(1, n + 1, dtype=np.int64),
+                                 pa.int64()),
+                "tfidf_i6": pa.array(to_i6(score9[order]), pa.int64()),
+            }
+        )
+
+    return (
+        ds.map_batches(tf_rows, batch_format="pyarrow")
+        .groupby("term")
+        .map_groups(attach_df, batch_format="pyarrow")
+        .groupby("docid")
+        .map_groups(topk, batch_format="pyarrow")
+    )
+
+
+_SPAN = "alpha beta gamma delta epsilon zeta eta theta"  # 8 tokens
+
+
+def _finisher_corpus() -> pa.Table:
+    """Docid 5 three times (rows 0-1 share a batch at any partitioning,
+    row 9 lands in another once split); docs shorter than the 8-token
+    window; tf-idf ties between ASCII and non-ASCII terms (1-4 byte UTF-8)
+    that only the term order breaks."""
+    rows = [
+        (5, f"{_SPAN} one"),
+        (5, f"{_SPAN} two {_SPAN}"),
+        (6, f"x {_SPAN} y"),
+        (7, "tiny doc"),
+        (8, "q è Q 日 ß 😀 ä \ue000 ab"),
+        (9, "dog fish"),
+        (10, f"lonely window words only here in this doc {_SPAN}"),
+        (11, ""),
+        (12, "a a a b b c"),
+        (5, f"{_SPAN} three é é"),
+        (13, "dog fish 日本"),
+        (14, "mu nu xi omicron pi rho sigma tau upsilon"),
+        (15, "mu nu xi omicron pi rho sigma tau phi"),
+    ]
+    return pa.table(
+        {
+            "docid": pa.array([r[0] for r in rows], pa.int64()),
+            "content": pa.array([r[1] for r in rows], pa.string()),
+        }
+    )
+
+
+def _partitionings():
+    """repartition(1/4/7), plus a layout whose input has a zero-row block."""
+    tbl = _finisher_corpus()
+    for n in (1, 4, 7):
+        yield f"repartition({n})", ray.data.from_arrow(tbl).repartition(n)
+    yield "zero-row block", ray.data.from_arrow(
+        [tbl.slice(0, 4), tbl.slice(0, 0), tbl.slice(4)]
+    )
+
+
+def test_duplicate_spans_matches_map_groups_reference(ray_session):
+    from dpr_ray.stages.dedup import duplicate_spans
+
+    for name, ds in _partitionings():
+        got = duplicate_spans(ds).take_all()
+        want = _ref_duplicate_spans(ds).take_all()
+        assert got == want, name
+        # the shared span: docs 5 (three rows, one docid) and 6, 10
+        assert max(r["n_docs"] for r in got) == 3, name
+
+
+def test_tfidf_topk_matches_map_groups_reference(ray_session):
+    from dpr_ray.stages.text_stats import tfidf_topk
+
+    for k in (2, 12):  # 12 exceeds every doc's distinct term count
+        for name, ds in _partitionings():
+            got = tfidf_topk(ds, k=k).take_all()
+            want = _ref_tfidf_topk(ds, k).take_all()
+            assert got == want, (k, name)
+    # doc 8's nine tf=1 df=1 terms tie: python str (code point) order
+    d8 = [r["term"] for r in got if r["docid"] == 8]
+    assert d8 == sorted("q è Q 日 ß 😀 ä \ue000 ab".split(" "))
+
+
+def test_duplicate_spans_rejects_uint64_id_past_int64(ray_session):
+    """A uint64 docid >= 2^63 cannot be an int64 output id: the
+    vectorized emit must fail loudly instead of wrapping it negative."""
+    import pytest
+
+    from dpr_ray.stages.dedup import duplicate_spans
+
+    tbl = pa.table(
+        {
+            "docid": pa.array([1, 1 << 63], pa.uint64()),
+            "content": pa.array([_SPAN, _SPAN], pa.string()),
+        }
+    )
+    with pytest.raises(Exception, match="not in range|overflow"):
+        duplicate_spans(ray.data.from_arrow(tbl)).take_all()
+
+
+def test_map_sorted_groups_colocates_hot_key(ray_session):
+    """The guarantee map_sorted_groups' block-level finishers rely on,
+    under a hot key holding more than half the rows of a many-block
+    dataset: every key's rows arrive in exactly one batch, and keys
+    ascend within and across blocks."""
+    import numpy as np
+
+    from dpr_ray.util import map_sorted_groups
+
+    n, hot = 6000, 17
+    keys = np.arange(n, dtype=np.int64) % 501
+    keys[: n // 2 + 500] = hot
+    np.random.default_rng(0).shuffle(keys)
+    ds = ray.data.from_items(
+        [{"key": int(x)} for x in keys], override_num_blocks=12
+    )
+
+    def per_batch(block):
+        k = block["key"].to_numpy()
+        uniq, cnt = np.unique(k, return_counts=True)
+        return pa.table(
+            {
+                "key": uniq,
+                "rows": cnt,
+                "sorted": np.full(len(uniq), bool((np.diff(k) >= 0).all())),
+            }
+        )
+
+    out = map_sorted_groups(ds, "key", per_batch).take_all()
+    got = [r["key"] for r in out]
+    assert all(r["sorted"] for r in out)
+    assert got == sorted(set(got))  # each key in one batch, ascending
+    want_k, want_c = np.unique(keys, return_counts=True)
+    assert got == want_k.tolist()
+    assert [r["rows"] for r in out] == want_c.tolist()
+    assert dict(zip(got, (r["rows"] for r in out)))[hot] > n // 2
