@@ -100,7 +100,12 @@ class SegmentStore:
     """Per-actor view of an index: stats + LRU-cached posting lists.
 
     Cache layers (all per actor, shared across batches):
-    - raw segment rows per term (parquet fetch amortized)
+    - whole term buckets as Arrow tables + a term → row-indices map: the
+      first miss in a bucket reads it with one partition-pruned scan, and
+      every later miss there is a ``take``. LRU by Σdf under the
+      ``cache_postings`` budget; the bucket just read always stays.
+      ``bucket_reads`` counts the scans.
+    - raw segment rows per term (LRU by ``cache_terms``)
     - decoded + pre-scored arrays per term: (docids, float64 contributions,
       upper bound) — contributions depend only on (tf, dl, df, N, avgdl),
       all fixed for an index, so repeated terms across queries cost nothing
@@ -138,7 +143,9 @@ class SegmentStore:
         # worst-case per-actor footprint ≈ scored (≤ cache_postings elements
         # × ~20 B: int64 docid + float64 contribution + overhead) + impact
         # perms (≤ cache_postings × 4 B int32) + posmaps (≤ 3×cache_postings
-        # × 4 B) ≈ 3.5 GB at the 120M default — times the query-pool size;
+        # × 4 B) + resident term buckets (≤ cache_postings encoded postings,
+        # ~4 B each, plus the bucket just read) ≈ 4 GB at the 120M default
+        # — times the query-pool size;
         # shrink DPR_CACHE_POSTINGS (or the pool) when corpus × actors
         # exceeds node DRAM.
         if cache_terms is None:
@@ -158,6 +165,10 @@ class SegmentStore:
         )
         self._cache: OrderedDict[str, list[dict] | None] = OrderedDict()
         self._cache_terms = cache_terms
+        # tbucket → (table, term → row indices, Σdf)
+        self._buckets: OrderedDict[int, tuple] = OrderedDict()
+        self._bucket_total = 0
+        self.bucket_reads = 0
         self._scored: OrderedDict[str, tuple] = OrderedDict()
         self._scored_budget = cache_postings
         self._scored_total = 0
@@ -223,7 +234,7 @@ class SegmentStore:
 
     def ensure_scored(self, terms: list[str]) -> None:
         """Decode+score any terms missing from the local cache (one batched
-        parquet fetch)."""
+        fetch)."""
         missing = [t for t in terms if t not in self._scored]
         if missing:
             self.fetch(missing)
@@ -452,31 +463,52 @@ class SegmentStore:
 
     def fetch(self, terms: list[str]) -> dict[str, list[dict] | None]:
         """term → segment rows (slices), or None if the term is absent.
-        Missing terms are fetched in one partition-pruned parquet scan."""
+        Missing terms are taken from their resident bucket tables (one
+        ``take`` per bucket); a bucket not resident is read first."""
         out: dict[str, list[dict] | None] = {}
-        missing = []
+        missing: dict[int, dict[str, None]] = {}
         for t in terms:
             if t in self._cache:
                 self._cache.move_to_end(t)
                 out[t] = self._cache[t]
             else:
-                missing.append(t)
-        if missing:
-            buckets = sorted({seg.term_bucket(t, self.num_tbuckets) for t in missing})
-            filt = pc.field("tbucket").isin(buckets) & pc.field("term").isin(missing)
-            tbl = self._ds.to_table(filter=filt)
+                b = seg.term_bucket(t, self.num_tbuckets)
+                missing.setdefault(b, {})[t] = None
+        for b, ts in missing.items():
+            tbl, rows_of, _ = self._bucket(b)
+            idx = [i for t in ts for i in rows_of.get(t, ())]
             rows_by_term: dict[str, list[dict]] = {}
-            for r in tbl.to_pylist():
+            for r in tbl.take(pa.array(idx, pa.int64())).to_pylist():
                 rows_by_term.setdefault(r["term"], []).append(r)
-            for t in missing:
+            for t in ts:
                 rows = rows_by_term.get(t)
                 if rows is not None:
                     rows.sort(key=lambda r: r["slice_id"])
                 self._cache[t] = rows
                 out[t] = rows
-            while len(self._cache) > self._cache_terms:
-                self._cache.popitem(last=False)
+        while len(self._cache) > self._cache_terms:
+            self._cache.popitem(last=False)
         return out
+
+    def _bucket(self, b: int) -> tuple:
+        """(table, term → row indices, Σdf) of term bucket ``b``, read once
+        and kept in an LRU by Σdf; the bucket just read is never evicted."""
+        hit = self._buckets.get(b)
+        if hit is not None:
+            self._buckets.move_to_end(b)
+            return hit
+        tbl = self._ds.to_table(filter=pc.field("tbucket") == b)
+        self.bucket_reads += 1
+        rows_of: dict[str, list[int]] = {}
+        for i, t in enumerate(tbl.column("term").to_pylist()):
+            rows_of.setdefault(t, []).append(i)
+        entry = (tbl, rows_of, pc.sum(tbl.column("df")).as_py() or 0)
+        self._buckets[b] = entry
+        self._bucket_total += entry[2]
+        while self._bucket_total > self._scored_budget and len(self._buckets) > 1:
+            _, old = self._buckets.popitem(last=False)
+            self._bucket_total -= old[2]
+        return entry
 
 
 class _PostingCursor:
@@ -1203,7 +1235,7 @@ class QueryExecutor:
             # batch-level warm-up: decode once, reuse across the batch
             self.store.ensure_scored(all_terms)
         else:
-            self.store.fetch(all_terms)  # one batched parquet scan
+            self.store.fetch(all_terms)  # one batched fetch
         nq = len(qids)
         results: list = [None] * nq
         # Plain-dense-TAAT queries are DEFERRED and evaluated together by

@@ -429,9 +429,11 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
     """Cache-starvation cell: cache_terms=2 and DPR_CACHE_POSTINGS=1 force
     the SegmentStore to evict and re-fetch/re-decode terms WITHIN every
     batch (the eviction loops in fetch/scored/impact/posmap never fired in
-    the default-budget lattice). Re-decoded entries must reproduce the
-    banned/range filtering bitwise — composed with bans × method ×
-    docid_range over two passes."""
+    the default-budget lattice). The same budget keeps at most one term
+    bucket resident, so buckets are evicted and re-read within a batch.
+    Re-decoded entries must reproduce the banned/range filtering bitwise
+    — composed with bans × method × docid_range over two passes."""
+    from dpr_ray import analyzer
     from dpr_ray.index import segments as seg
 
     dm, docids, oracle = refresh_index
@@ -455,6 +457,11 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
             "question": QUESTIONS,
         }
     )
+    n_tb = int(seg.read_stats(dm)["num_tbuckets"])
+    touched = {
+        seg.term_bucket(t, n_tb) for q in QUESTIONS
+        for t in analyzer.tokenize(q)
+    }
     for method in ("taat", "maxscore", "bmw"):
         # unsharded: starved caches, whole-corpus
         ex = QueryExecutor(
@@ -468,6 +475,10 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
             for q in QUESTIONS:
                 want = _oracle_topk_banned(oracle, q, k, banned)
                 assert got[q] == want, ("flat", method, _pass, q)
+            assert len(ex.store._buckets) <= 1, ("flat", method, _pass)
+        # more bucket reads than distinct buckets: evicted buckets were
+        # read again
+        assert ex.store.bucket_reads > len(touched) > 1, method
         # sharded: starved caches inside each range
         edges = [span * s // 2 for s in range(3)]
         exs = [
@@ -482,6 +493,8 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
         for ex in exs:
             for r in ex(qb).to_pylist():
                 per_q[r["question"]].append((r["docid"], r["score"]))
+            assert len(ex.store._buckets) <= 1, ("sharded", method)
+            assert ex.store.bucket_reads > len(touched), ("sharded", method)
         for q in QUESTIONS:
             d = np.array([c[0] for c in per_q[q]], np.uint64)
             s_ = np.array([c[1] for c in per_q[q]], np.float64)
