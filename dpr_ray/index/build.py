@@ -10,12 +10,12 @@ with postings instead of dense vectors:
        (N, avgdl, max docid — the A5-analog aggregates) and the
        deterministic docid%mod head-term df sample (skew plan); the
        stats + salt plan persist in the docstore resume marker
-  → map_batches(EmitEncodedPostings)  — map-side combine: per-batch
-       per-(term, salt) delta+varint-encoded sub-lists (small terms via the
-       BATCHED single-block encoder — one numpy pass per batch, which is
-       what survives code-scale vocabularies); head terms salted by docid
-       RANGE (salt = docid >> shift) so groups stay ≤ group_budget postings
-       (skew: SURVEY §4)
+  → map_batches(EmitEncodedPostings)  — map-side combine over batches of
+       N / CPUs docs (≤ 8192): per-(term, salt) delta+varint-encoded
+       sub-lists (small terms via the BATCHED single-block encoder — one
+       numpy pass per batch, which survives code-scale vocabularies); head
+       terms salted by docid RANGE (salt = docid >> shift) so groups stay
+       ≤ group_budget postings (skew: SURVEY §4)
   → groupby(tbucket, salt).map_groups(merge_bucket)  — the ONLY shuffle,
        moving compressed sub-lists; groups are term BUCKETS (16), not terms
        (map_groups costs ~1ms Python per group). Each bucket decodes all
@@ -25,7 +25,8 @@ with postings instead of dense vectors:
        Same skew plan + same corpus ⇒ byte-identical segments at any
        parallelism (resume determinism; the plan is a deterministic
        function of the corpus sample).
-  → parallel hive writer (segments/tbucket=i/; index/io.py)
+  → parallel hive writer (segments/tbucket=i/; index/io.py). Both
+       executions run via util.full_width, so their map stages use every CPU.
 
 The driver never materializes the corpus (the reference holds all passages
 in driver RAM — ``dense_retriever.py:461-469`` — the one scalability sin this
@@ -43,9 +44,8 @@ from collections import Counter
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Count, Max, Sum
 
 from .. import analyzer
 from ..config import (
@@ -55,6 +55,7 @@ from ..config import (
     DEFAULT_TERM_BUCKETS,
 )
 from ..stages.featurize import Featurize
+from ..util import full_width
 from . import manifest as man
 from . import segments as seg
 from .manifest import write_manifest
@@ -71,14 +72,14 @@ class EmitEncodedPostings:
     row per term per batch) instead of raw (term, docid, tf, dl) rows.
     Measured ~4x on the bench corpus vs shuffling raw postings.
 
-    Skew plan: head terms (broadcast {term: shift} via ray.put, fetched once
-    per actor) are salted by docid RANGE — salt = docid >> shift — so each
+    Skew plan: head terms (the {term: shift} map, pickled with the
+    instance) are salted by docid RANGE — salt = docid >> shift — so each
     (term, salt) group holds ≤ ~group_budget postings and, because ranges
     are ordered, the per-salt merged lists concatenate docid-sorted: the
     final segment stores them as slice_id = salt."""
 
-    def __init__(self, shift_ref, avgdl, params, num_tbuckets, block_size):
-        self.shift_map = ray.get(shift_ref) if shift_ref is not None else {}
+    def __init__(self, shift_map, avgdl, params, num_tbuckets, block_size):
+        self.shift_map = shift_map
         self.avgdl = avgdl
         self.params = params
         self.num_tbuckets = num_tbuckets
@@ -147,6 +148,11 @@ class EmitEncodedPostings:
             )
             return pa.concat_tables([small_tbl, big_tbl])
         return small_tbl
+
+
+def emit_batch_size(n_docs: int, cpus: int) -> int:
+    """Docs per Emit batch: ceil(N / CPUs) in [1, 8192] (see build_index)."""
+    return max(1, min(8192, math.ceil(n_docs / cpus)))
 
 
 _PARTIAL_SCHEMA = pa.schema(
@@ -507,7 +513,6 @@ def build_index(
     docid_strategy: str = "provided",
     block_size: int = BLOCK_SIZE,
     max_postings_per_slice: int = seg.MAX_POSTINGS_PER_SLICE,
-    emit_concurrency: int | tuple | None = None,
     resume: bool = False,
     partition_resume: bool = False,
     dedup_ids: bool = False,
@@ -585,8 +590,6 @@ def build_index(
     # re-read the docstore and cost seconds of fixed dispatch that did not
     # shrink with CPUs (the round-1 scaling gap). The resume marker persists
     # the stats + salt plan so a resumed run recomputes nothing.
-    from ray.data.aggregate import Max
-
     salt_map: dict[str, int] = {}  # term -> shift
     # marker trust policy (see man.read_json_marker): unparseable or
     # missing-keys markers are ABSENT → rebuild; present signatures that
@@ -608,6 +611,7 @@ def build_index(
         _check_resume_sig(
             dmark.get("resume_sig"), doc_sig, index_dir, "docstore"
         )
+        t_docstore = t_stats = t_sample = time.time()
         n_docs = int(dmark["n_docs"])
         sum_dl = int(dmark["sum_dl"])
         max_docid = int(dmark["max_docid"])
@@ -663,9 +667,10 @@ def build_index(
             )
         else:
             sorted_feat = feat.sort("docid")
-        partials = sorted_feat.map_batches(
+        partials = full_width(sorted_feat.map_batches(
             DocstoreWriter(docstore_dir, sample_mod), batch_format="pyarrow"
-        ).materialize()  # executes the write ONCE; keeps only the tiny rows
+        )).materialize()  # executes the write ONCE; keeps only the tiny rows
+        t_docstore = time.time()
         agg = partials.aggregate(
             Sum("cnt"), Sum("sum_dl"), Max("max_docid_s"), Sum("blocks")
         ) or {}  # zero-block dataset: aggregate returns None, not zeros
@@ -675,6 +680,7 @@ def build_index(
         n_docs = int(agg.get("sum(cnt)") or 0)
         sum_dl = int(agg.get("sum(sum_dl)") or 0)
         max_docid = decode_max_docid_s(agg.get("max(max_docid_s)"))
+        t_stats = time.time()
         space_bits = max(1, max_docid.bit_length())
         if n_docs and sample_mod >= 1:
             # head terms get docid-RANGE salts: salt = docid >> shift, with
@@ -693,6 +699,7 @@ def build_index(
                 )
                 bits = max(1, (n_salts - 1).bit_length())
                 salt_map[r["term"]] = max(0, space_bits - bits)
+        t_sample = time.time()
         if not any(f.endswith(".parquet") for f in os.listdir(docstore_dir)):
             # empty corpus: create an empty docstore file so downstream
             # reads see a valid (0-row) table with the canonical schema
@@ -722,8 +729,6 @@ def build_index(
             },
         )
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
-    salt_ref = ray.put(salt_map)  # broadcast once; actors ray.get in __init__
-    t_docstore = t_stats = t_sample = time.time()
 
     # ---- stage 4: pre-encoded postings → groupby(tbucket, salt) → segments
     # Grouping at BUCKET granularity (not per term): map_groups costs ~1ms
@@ -818,24 +823,16 @@ def build_index(
     posts = ray.data.read_parquet(
         docstore_dir, columns=["docid", "content", "doclen"]
     )
-    # Emit runs as plain TASKS, not an actor pool: it has no per-call state
-    # worth amortizing (the salt map rides in the pickled instance; actors
-    # would pay ~1s spawn each and ramp-up idle time — measured slower).
+    # Emit runs as plain TASKS (the salt map rides in the pickled instance):
+    # an actor pool pays ~1s spawn per actor plus ramp-up idle — measured slower.
     # Explicit batch_size: emit cost is per-BATCH (one sub-list row per term
-    # per batch) — tiny blocks otherwise blow up dispatch + shuffle rows.
-    if emit_concurrency is not None:
-        posts = posts.map_batches(
-            EmitEncodedPostings,
-            fn_constructor_args=(salt_ref, avgdl, params, num_tbuckets, block_size),
-            batch_format="pyarrow", concurrency=emit_concurrency,
-            batch_size=8192,
-        )
-    else:
-        emit = EmitEncodedPostings(None, avgdl, params, num_tbuckets, block_size)
-        emit.shift_map = salt_map  # by value: small; avoids per-task ray.get
-        posts = posts.map_batches(emit, batch_format="pyarrow", batch_size=8192)
-    import shutil as _sh
-
+    # per batch), so batches hold N / CPUs docs (one Emit task per CPU, as
+    # many blocks into the groupby), capped at 8192 to bound task memory.
+    posts = posts.map_batches(
+        EmitEncodedPostings(salt_map, avgdl, params, num_tbuckets, block_size),
+        batch_format="pyarrow",
+        batch_size=emit_batch_size(n_docs, ray.cluster_resources().get("CPU", 1)),
+    )
     from .io import write_partitioned
 
     n_slices = n_postings = None
@@ -852,13 +849,13 @@ def build_index(
         ):
             if os.path.exists(stale_marker):
                 os.remove(stale_marker)
-        _sh.rmtree(
+        shutil.rmtree(
             os.path.join(index_dir, "postings_spill"), ignore_errors=True
         )
-        final = posts.groupby(["tbucket", "salt"]).map_groups(
+        final = full_width(posts.groupby(["tbucket", "salt"]).map_groups(
             merge_bucket, batch_format="pyarrow"
-        )
-        _sh.rmtree(segments_dir, ignore_errors=True)
+        ))
+        shutil.rmtree(segments_dir, ignore_errors=True)
         wres = write_partitioned(final, segments_dir, "tbucket", sum_cols=["df"])
         n_slices = wres["rows"]  # one slice row per segment row
         n_postings = wres["sum_df"]
@@ -913,7 +910,7 @@ def build_index(
             for p in (spill_marker, done_path):
                 if os.path.exists(p):
                     os.remove(p)
-            _sh.rmtree(spill_dir, ignore_errors=True)
+            shutil.rmtree(spill_dir, ignore_errors=True)
             write_partitioned(posts, spill_dir, "tbucket")
             man.write_json_atomic(spill_marker, {
                 "complete": True, "corpus_fp": corpus_fp,
@@ -940,7 +937,7 @@ def build_index(
                 except ValueError:
                     b_ = -1
                 if not (0 <= b_ < num_tbuckets):
-                    _sh.rmtree(
+                    shutil.rmtree(
                         os.path.join(segments_dir, d_), ignore_errors=True
                     )
         for b in range(num_tbuckets):
@@ -948,7 +945,7 @@ def build_index(
                 continue
             bdir = os.path.join(spill_dir, f"tbucket={b}")
             out_b = os.path.join(segments_dir, f"tbucket={b}")
-            _sh.rmtree(out_b, ignore_errors=True)
+            shutil.rmtree(out_b, ignore_errors=True)
             if os.path.isdir(bdir):
                 final_b = ray.data.read_parquet(bdir).groupby(
                     "salt"

@@ -38,10 +38,10 @@ delta bounded by the cap per merge — chain merges for bigger backlogs.
 Tiered refresh policy (operational guidance; measured in BASELINE.md):
 every upsert merge is a FULL rewrite of the merged index — the merged
 avgdl changes every block-max bound, so cost ≈ one warm rebuild of
-N_total regardless of delta size (measured: 100k docs merge 10.7-11.0 s
-vs 6.0 s warm rebuild; 500k 24.5 s vs 16.9 s; 5M 128.8 s vs ~110-150 s
-— the ratio approaches 1 as tokenization dominates the rebuild).
-Therefore do NOT merge per small delta. Accumulate:
+N_total regardless of delta size (100k docs: merge 10.7-11.0 s vs 6.0 s
+warm rebuild; 500k 24.5 s vs 16.9 s; 5M 128.8 s vs ~110-150 s; 10k on 4
+CPUs, both passes at full width: 1.9 s vs 1.8 s — the ratio nears 1 as
+tokenization dominates). So do NOT merge per small delta. Accumulate:
 
 - deletes serve IMMEDIATELY via query-time tombstones
   (``QueryExecutor(banned_docids=...)``, overhead below host noise at
@@ -78,9 +78,11 @@ import time
 import numpy as np
 import pyarrow as pa
 import ray.data
+from ray.data.aggregate import Max, Sum
 
 from .._shipping import ensure_shippable
 from ..config import BLOCK_SIZE, BM25Params
+from ..util import full_width
 from . import manifest as man
 from . import segments as seg
 from .manifest import write_manifest
@@ -210,6 +212,7 @@ def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
     import pyarrow.parquet as pq_
 
     from .build import (
+        _check_docstore_ranges,
         check_block_duplicates,
         decode_max_docid_s,
         docstore_part_name,
@@ -266,13 +269,9 @@ def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
             }
         )
 
-    from ray.data.aggregate import Max, Sum
-
     agg = ds_sorted.map_batches(write_block, batch_format="pyarrow").aggregate(
         Sum("rows"), Sum("sum_dl"), Max("max_docid_s"), Sum("blocks")
     )
-    from .build import _check_docstore_ranges
-
     if agg is None:  # zero-block dataset: aggregate returns None, not zeros
         _check_docstore_ranges(out_dir, expected_parts=0)
         return {"rows": 0, "sum_dl": 0, "max_docid": 0}
@@ -457,7 +456,7 @@ def merge_indexes(
     else:
         doc_ds = _read_union("docstore").sort("docid")
     if not doc_resumed:
-        doc_stats = _write_docstore_ranged(doc_ds, out_docstore, mode)
+        doc_stats = _write_docstore_ranged(full_width(doc_ds), out_docstore, mode)
         if doc_stats["rows"] == 0:
             # fully-deleted corpus: keep an empty docstore file so
             # downstream readers see the schema (mirrors build_index's
@@ -610,11 +609,10 @@ def merge_indexes(
     # sum_cols folds (slice count, Σdf) into the write pass — a separate
     # read_parquet+aggregate costs seconds of fixed dispatch per merge
     # (CLAUDE.md: fold side computations into the pass touching the data)
-    wres = write_partitioned(
-        seg_ds.groupby("tbucket")
-        .map_groups(remerge_bucket, batch_format="pyarrow"),
-        out_segments, "tbucket", sum_cols=["df"],
-    )
+    final = full_width(seg_ds.groupby("tbucket").map_groups(
+        remerge_bucket, batch_format="pyarrow"
+    ))
+    wres = write_partitioned(final, out_segments, "tbucket", sum_cols=["df"])
     # fully-tombstoned merge: no segment rows survive, but readers still
     # need one canonical-schema file (mirrors build_index's empty-corpus
     # guard; the docstore side already writes empty.parquet above)

@@ -2,6 +2,7 @@
 determinism (merge(build(A), build(B)) == build(A∪B) via re-blocking)."""
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -99,27 +100,46 @@ def test_manifest_written(built):
     assert m["skew_plan"]["salted_terms"] > 0
 
 
-def test_salting_does_not_change_logical_index(ray_session, tmp_path):
+def test_salting_does_not_change_logical_index(ray_session, tmp_path, monkeypatch):
     """The skew plan changes slice layout (slices = docid-range salts) but
     NOT the logical index: decoded postings and query results are identical
     between an aggressively-salted and an unsalted build; and a rebuild with
-    the same plan is byte-identical (determinism under resume)."""
+    the same plan is byte-identical (determinism under resume). The 8300-doc
+    input's rebuild also batches Emit the old way: fixed 8192-doc batches
+    split it 8192 + 108, where N / CPUs batching splits it four ways."""
+    from dpr_ray.index import build as build_mod
+
+    for n_docs, group_budget, rebuild_rule in (
+        (60, 10, build_mod.emit_batch_size),
+        (8300, 1000, lambda n, cpus: 8192),
+    ):
+        _check_salting_identity(tmp_path / str(n_docs), n_docs, group_budget,
+                                rebuild_rule, monkeypatch)
+
+
+def _check_salting_identity(root, n_docs, group_budget, rebuild_rule,
+                            monkeypatch):
     import pyarrow as pa
     import ray.data
 
+    from dpr_ray.index import build as build_mod
     from dpr_ray.query.executor import QueryExecutor
 
-    tbl = corpus_mod.synth_corpus_table(60, seed=11)
-    a = str(tmp_path / "a")
-    a2 = str(tmp_path / "a2")
-    b = str(tmp_path / "b")
+    tbl = corpus_mod.synth_corpus_table(n_docs, seed=11)
+    a = str(root / "a")
+    a2 = str(root / "a2")
+    b = str(root / "b")
     build_index(ray.data.from_arrow(tbl).repartition(3), a,
-                docid_strategy="hash64", group_budget=10, sample_mod=1, block_size=8)
-    build_index(ray.data.from_arrow(tbl).repartition(2), a2,
-                docid_strategy="hash64", group_budget=10, sample_mod=1, block_size=8)
+                docid_strategy="hash64", group_budget=group_budget,
+                sample_mod=1, block_size=8)
+    with monkeypatch.context() as m:
+        m.setattr(build_mod, "emit_batch_size", rebuild_rule)
+        build_index(ray.data.from_arrow(tbl).repartition(2), a2,
+                    docid_strategy="hash64", group_budget=group_budget,
+                    sample_mod=1, block_size=8)
     build_index(ray.data.from_arrow(tbl).repartition(2), b,
                 docid_strategy="hash64", group_budget=10**9, sample_mod=1, block_size=8)
-    # same plan, different parallelism → byte-identical
+    # same plan, different parallelism (and Emit batching) → byte-identical
     ra = sorted(_load_segment_rows(a), key=lambda r: (r["term"], r["slice_id"]))
     ra2 = sorted(_load_segment_rows(a2), key=lambda r: (r["term"], r["slice_id"]))
     assert ra == ra2
@@ -141,6 +161,45 @@ def test_salting_does_not_change_logical_index(ray_session, tmp_path):
         out_a = QueryExecutor(a, k=10, method=method)(qb).to_pylist()
         out_b = QueryExecutor(b, k=10, method=method)(qb).to_pylist()
         assert out_a == out_b
+
+
+def test_build_leaves_data_context_unchanged(ray_session, tmp_path):
+    """build_index runs its shuffle executions through util.full_width,
+    which turns per-operator reservation off on a private DataContext: the
+    global context, the caller's Dataset context and full_width's input
+    keep the setting."""
+    import ray.data
+    from ray.data import DataContext
+
+    from dpr_ray.util import full_width
+
+    before = DataContext.get_current().op_resource_reservation_enabled
+    assert before  # Ray's default; the check below would be vacuous if off
+    tbl = corpus_mod.synth_corpus_table(40, seed=5)
+    corpus_ds = ray.data.from_arrow(tbl).repartition(2)
+    build_index(corpus_ds, str(tmp_path / "idx"), docid_strategy="hash64")
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+    assert corpus_ds.context.op_resource_reservation_enabled == before
+
+    grouped = corpus_ds.groupby("repo").count()
+    wide = full_width(grouped)
+    assert wide.context.op_resource_reservation_enabled is False
+    assert grouped.context.op_resource_reservation_enabled == before
+    assert grouped._logical_plan.context.op_resource_reservation_enabled == before
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+    assert sum(r["count()"] for r in wide.take_all()) == tbl.num_rows
+
+
+@pytest.mark.parametrize("n_docs", [0, 1, 3, 8192 * 4 + 5, 10_000])
+@pytest.mark.parametrize("cpus", [1, 4, 32])
+def test_emit_batch_size_rule(n_docs, cpus):
+    """Emit batches hold at most 8192 docs, and N docs split into at least
+    min(CPUs, N) batches, so every CPU gets an Emit task when N allows."""
+    from dpr_ray.index.build import emit_batch_size
+
+    bs = emit_batch_size(n_docs, cpus)
+    assert 1 <= bs <= 8192
+    assert math.ceil(n_docs / bs) >= min(cpus, n_docs)
 
 
 @pytest.mark.parametrize(

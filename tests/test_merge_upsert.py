@@ -130,6 +130,28 @@ def test_upsert_merge_equals_rebuild(ray_session, tmp_path):
     assert "freshterm" in terms_m
 
 
+def test_merge_leaves_data_context_unchanged(ray_session, tmp_path):
+    """merge_indexes runs its docstore and segments executions with
+    per-operator reservation off on a private DataContext (util.full_width):
+    the global context and the caller's corpus Dataset keep the setting."""
+    import ray.data
+    from ray.data import DataContext
+
+    before = DataContext.get_current().op_resource_reservation_enabled
+    assert before  # Ray's default; the check below would be vacuous if off
+    base = corpus_mod.synth_corpus_table(40, seed=13)
+    corpus_ds = ray.data.from_arrow(base).repartition(2)
+    dbase, ddelta, dm = (str(tmp_path / x) for x in ["base", "delta", "m"])
+    build_index(corpus_ds, dbase, docid_strategy="hash64")
+    build_index(ray.data.from_arrow(_adds_table(5)), ddelta,
+                docid_strategy="hash64")
+    stats = merge_indexes([dbase, ddelta], dm, mode="upsert",
+                          delete_ext_ids=_ext_ids(base.slice(0, 3)))
+    assert stats["N"] == 42
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+    assert corpus_ds.context.op_resource_reservation_enabled == before
+
+
 def test_upsert_delete_only(ray_session, tmp_path):
     import ray.data
 
