@@ -404,8 +404,14 @@ def corpus_fingerprint(corpus_ds: ray.data.Dataset) -> str | None:
     — and for any path neither stat route can see — a same-path content
     change is invisible, so a warning is logged: the resume check
     degrades to path-list identity there."""
-    try:
-        files = corpus_ds.input_files()
+    try:  # input_files() stops at a map stage, and a read task lists its
+        # files without infer_metadata's schema-hash warning on pandas files
+        files = set(corpus_ds.input_files()) or {
+            f for op in corpus_ds._logical_plan.dag.post_order_iter()
+            if hasattr(op, "_datasource")  # a Read
+            for t in op._datasource.get_read_tasks(1)
+            for f in t.metadata.input_files
+        }
     except Exception:
         return None
     if not files:

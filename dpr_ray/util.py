@@ -95,17 +95,20 @@ def map_sorted_groups(ds, key, fn):
     BLOCK, not once per group (~1 ms of Python each). It runs the same
     ``sort(key)`` shuffle and relies on the same guarantee: every key's rows
     sit in one block, in ascending key order. ``fn`` gets the block as a
-    pyarrow Table, possibly with zero rows, and reduces all its groups."""
-    return ds.sort(key).map_batches(fn, batch_size=None, batch_format="pyarrow")
+    pyarrow Table, possibly with zero rows, and reduces all its groups.
+    Runs via :func:`full_width`, whose rule binds stages a caller chains on."""
+    return full_width(
+        ds.sort(key).map_batches(fn, batch_size=None, batch_format="pyarrow")
+    )
 
 
 def full_width(ds):
     """``ds`` with per-operator resource reservation off. Ray 2.49 keeps a
     CPU share for operators behind a shuffle barrier, so the map stage
     ahead of it runs serially (4 map tasks of 0.3 s before a groupby:
-    1.39 s; off: 0.45 s). Only for an execution with a barrier and no actor
-    pool, run where it is built. ``ds``'s (caller-shared) and the global
-    DataContext are left unchanged."""
+    1.39 s; off: 0.45 s). The flag governs the whole execution, stages a
+    caller chains on included: materialize() ahead of several actor pools.
+    ``ds``'s (caller-shared) and the global DataContext are left unchanged."""
     from ray.data import Dataset
     from ray.data._internal.logical.interfaces import LogicalPlan
 

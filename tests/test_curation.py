@@ -651,13 +651,17 @@ def test_duplicate_spans_rejects_uint64_id_past_int64(ray_session):
         duplicate_spans(ray.data.from_arrow(tbl)).take_all()
 
 
-def test_map_sorted_groups_colocates_hot_key(ray_session):
+def test_map_sorted_groups_colocates_hot_key(ray_session, monkeypatch):
     """The guarantee map_sorted_groups' block-level finishers rely on,
     under a hot key holding more than half the rows of a many-block
     dataset: every key's rows arrive in exactly one batch, and keys
-    ascend within and across blocks."""
+    ascend within and across blocks. The helper's output runs with
+    per-operator reservation off on a private DataContext; its input and
+    the global context keep Ray's default."""
     import numpy as np
+    from ray.data import DataContext
 
+    from dpr_ray.stages import text_stats
     from dpr_ray.util import map_sorted_groups
 
     n, hot = 6000, 17
@@ -679,7 +683,12 @@ def test_map_sorted_groups_colocates_hot_key(ray_session):
             }
         )
 
-    out = map_sorted_groups(ds, "key", per_batch).take_all()
+    assert DataContext.get_current().op_resource_reservation_enabled
+    wide = map_sorted_groups(ds, "key", per_batch)
+    assert wide.context.op_resource_reservation_enabled is False
+    assert ds.context.op_resource_reservation_enabled
+    assert DataContext.get_current().op_resource_reservation_enabled
+    out = wide.take_all()
     got = [r["key"] for r in out]
     assert all(r["sorted"] for r in out)
     assert got == sorted(set(got))  # each key in one batch, ascending
@@ -687,3 +696,66 @@ def test_map_sorted_groups_colocates_hot_key(ray_session):
     assert got == want_k.tolist()
     assert [r["rows"] for r in out] == want_c.tolist()
     assert dict(zip(got, (r["rows"] for r in out)))[hot] > n // 2
+
+    # tfidf_topk chains two helpers: both outputs are reservation-off,
+    # and the caller's input keeps the default
+    outputs = []
+
+    def recording(*args):
+        outputs.append(map_sorted_groups(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(text_stats, "map_sorted_groups", recording)
+    docs = ray.data.from_arrow(_finisher_corpus())
+    text_stats.tfidf_topk(docs, k=2)
+    assert len(outputs) == 2
+    assert [o.context.op_resource_reservation_enabled for o in outputs] == [
+        False,
+        False,
+    ]
+    assert docs.context.op_resource_reservation_enabled
+    assert DataContext.get_current().op_resource_reservation_enabled
+
+
+def _take_all_within(ds, seconds=120):
+    """``ds.take_all()`` in a thread joined with a timeout, so a deadlocked
+    execution fails the test instead of hanging the run."""
+    import threading
+
+    box = {}
+
+    def run():
+        try:
+            box["rows"] = ds.take_all()
+        except BaseException as e:  # re-raised on the test thread
+            box["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"take_all still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["rows"]
+
+
+def test_actor_pool_chained_onto_map_sorted_groups_output(ray_session):
+    """A caller's actor pool chained onto a helper output runs in the
+    same reservation-off execution: it completes and passes every row
+    through unchanged, in order."""
+    from dpr_ray.stages.dedup import duplicate_spans
+    from dpr_ray.stages.text_stats import tfidf_topk
+    from dpr_ray.util import auto_pool
+
+    class Passthrough:
+        def __call__(self, batch):
+            return batch
+
+    for stage in (duplicate_spans, tfidf_topk):
+        ds = ray.data.from_arrow(_finisher_corpus()).repartition(4)
+        want = _take_all_within(stage(ds))
+        assert want, stage.__name__
+        chained = stage(ds).map_batches(
+            Passthrough, batch_format="pyarrow", concurrency=auto_pool()
+        )
+        assert _take_all_within(chained) == want, stage.__name__

@@ -945,16 +945,18 @@ def test_merge_job_bootstrap_missing_base(tmp_path):
     merge_indexes' zero-input error message promises) instead of dying
     with a raw FileNotFoundError reading <base>/stats.json — and a later
     run with the base present must re-merge (signature covers the input
-    dir list). Subprocess from an off-path cwd (the shipping drive)."""
+    dir list). Subprocess from an off-path cwd (the shipping drive). The
+    delta is pandas-written, so its files carry schema metadata: the run
+    must read it without Ray's "Failed to hash the schemas" log line."""
     import json as _json
     import subprocess
     import sys
 
-    import pyarrow.parquet as pq
-
-    delta = corpus_mod.synth_corpus_table(12, seed=9)
-    dpath = str(tmp_path / "delta.parquet")
-    pq.write_table(delta, dpath)
+    delta = corpus_mod.synth_corpus_table(12, seed=9).to_pandas()
+    dpath = str(tmp_path / "delta")
+    os.makedirs(dpath)
+    for i in range(4):
+        delta.iloc[i * 3:(i + 1) * 3].to_parquet(f"{dpath}/part{i}.parquet")
     out_index = str(tmp_path / "out")
     cmd = [
         sys.executable, "/root/repo/tools/merge_job.py",
@@ -967,6 +969,7 @@ def test_merge_job_bootstrap_missing_base(tmp_path):
     r = subprocess.run(cmd, cwd=str(tmp_path), capture_output=True,
                        text=True, timeout=300, env=env)
     assert r.returncode == 0, r.stdout + r.stderr
+    assert "Failed to hash the schemas" not in r.stdout + r.stderr
     rep = _json.loads(r.stdout.strip().splitlines()[-1])
     assert rep["base"].startswith("missing")
     assert rep["stats"]["N"] == 12

@@ -249,13 +249,15 @@ def test_corpus_fingerprint_mtime_ns(ray_session, tmp_path):
     """corpus_fingerprint must hash mtime at NANOSECOND granularity: a
     corpus file regenerated with identical byte size within the same
     second used to produce an identical fingerprint, letting resume=True
-    silently serve the OLD corpus."""
+    silently serve the OLD corpus. A read_parquet_clean corpus (a map
+    stage over the read) fingerprints as its files do."""
     import os
 
     import pyarrow.parquet as pq
     import ray.data
 
     from dpr_ray.index.build import corpus_fingerprint
+    from dpr_ray.util import read_parquet_clean
 
     p = tmp_path / "c.parquet"
     pq.write_table(
@@ -264,6 +266,7 @@ def test_corpus_fingerprint_mtime_ns(ray_session, tmp_path):
     ds = ray.data.read_parquet(str(p))
     fp1 = corpus_fingerprint(ds)
     assert fp1 is not None
+    assert corpus_fingerprint(read_parquet_clean(str(p))) == fp1
     st = os.stat(p)
     # +1 ns: same integer second, same size — only ns granularity sees it
     os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 1))

@@ -53,9 +53,11 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data
-
+    from dpr_ray._shipping import ensure_shippable
     from dpr_ray.index.build import build_index
+    from dpr_ray.util import read_parquet_clean
+
+    ensure_shippable()  # standalone-tool rule: register BEFORE any UDF
 
     # fail loudly on a wrong-shape input before any cluster work
     import pyarrow.dataset as pads
@@ -73,7 +75,7 @@ def main() -> None:
         )
 
     t0 = time.time()
-    corpus = ray.data.read_parquet(args.corpus)
+    corpus = read_parquet_clean(args.corpus)
     stats = build_index(
         corpus,
         args.index_dir,

@@ -115,7 +115,7 @@ def main() -> None:
     # verdicts when the docs file or any curation parameter changed
     # between runs into the same --out-dir. Mismatch → rebuild the phase
     # (tool semantics: a re-run with new params means "recompute").
-    docs_fp = corpus_fingerprint(ray.data.read_parquet(args.docs))
+    docs_fp = corpus_fingerprint(read_parquet_clean(args.docs))
 
     def _phase_sig(*vals) -> str:
         h = hashlib.blake2b(digest_size=16)

@@ -88,12 +88,11 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data
-
     from dpr_ray._shipping import ensure_shippable
     from dpr_ray.index.build import build_index
     from dpr_ray.index.manifest import read_json_marker, write_json_atomic
     from dpr_ray.index.merge import merge_indexes
+    from dpr_ray.util import read_parquet_clean
 
     ensure_shippable()  # standalone-tool rule: register BEFORE any UDF
 
@@ -122,7 +121,7 @@ def main() -> None:
         delta_dir = os.path.join(args.out_index, ".delta_index")
         t0 = time.time()
         stats_d = build_index(
-            ray.data.read_parquet(args.delta_corpus),
+            read_parquet_clean(args.delta_corpus),
             delta_dir,
             docid_strategy=args.docid_strategy,
             resume=not args.no_resume,
