@@ -13,14 +13,17 @@ Three exact, rank-identical scoring paths:
   contributions in sorted-term order (dense reusable buffer when the docid
   space is ordinal; np.unique merge otherwise), top-k via partition +
   (-score, docid) lexsort.
-- ``maxscore``: exact candidate-expansion MaxScore — ascending-df rounds
+- ``maxscore`` (planned): on a dense index ``plan_route`` picks each
+  query's route before any candidate work, from the dfs in its scored
+  entries, with cost counted in postings touched. Head-only queries (no
+  df ≤ 5% of Σdf) take impact-ordered expansion: per-term cached impact
+  permutations, prefix rounds + a threshold-algorithm stop — sub-linear
+  in df (~70x warm at 1.5M docs, measured). Otherwise MaxScore must
+  gather ``need`` exact candidates (the ascending-df prefix reaching k)
+  before θ exists: above 5% of Σdf the query takes one TAAT scatter
+  instead (a df-1 id + head terms), else selective ascending-df rounds
   with exact searchsorted gathers and a remaining-upper-bound stop (~100x
-  warm on rare+head queries, measured). Head-only queries (no selective
-  term) route through impact-ordered expansion instead: per-term cached
-  impact permutations (postings by descending contribution), prefix
-  rounds + a threshold-algorithm stop — sub-linear in df, the
-  memory-bandwidth lever at >1M-posting head terms (~70x warm at 1.5M
-  docs, measured), still bitwise-exact.
+  warm on rare+head queries with df_rare ≥ k, measured).
 - ``bmw``: document-at-a-time block-max WAND with a bounded min-heap —
   skipped blocks are never even DECODED (posting blocks stream from
   Parquet; conservative float32-rounded-up bounds).
@@ -32,9 +35,10 @@ scores, so engine scores == oracle scores bitwise, not approximately.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import os
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -876,6 +880,28 @@ def _impact_expand(
     return cand[order].astype(np.uint64), exact[order]
 
 
+def plan_route(entries: list[tuple], k: int) -> str:
+    """Route for one query on a dense index, chosen before any candidate
+    work from the posting counts its scored entries already hold. Cost is
+    counted in postings touched:
+
+    - ``"impact"``: no selective term (every df > 5% of Σdf; a single
+      term included) — impact-ordered expansion.
+    - ``"taat"``: MaxScore cannot set θ before it holds k exact
+      candidates, so it first gathers ``need`` = the shortest
+      ascending-df prefix whose Σdf reaches k (all of Σdf when k > Σdf),
+      each scored by ~m lookups. When ``need`` > 5% of Σdf — a df-1 id
+      plus head terms at k=10 — one TAAT scatter of Σdf postings is
+      cheaper (serve_distinct latency ×0.47, measured).
+    - ``"maxscore"``: selective candidate rounds otherwise."""
+    dfs = sorted(len(e[0]) for e in entries)  # plain ints: m is tiny
+    total = sum(dfs)
+    if dfs and dfs[0] > 0.05 * total:
+        return "impact"
+    need = next((s for s in itertools.accumulate(dfs) if s >= k), total)
+    return "taat" if need > 0.05 * total else "maxscore"
+
+
 def maxscore_topk_dense(
     entries: list[tuple],
     k: int,
@@ -886,28 +912,31 @@ def maxscore_topk_dense(
     defer_taat: bool = False,
     scratch: tuple | None = None,
 ):
-    """Exact candidate-expansion MaxScore over pre-scored entries.
+    """Exact candidate-expansion MaxScore over pre-scored entries, on the
+    sub-route ``plan_route`` chose: ``impact_fn`` given → impact-ordered
+    expansion (``"impact"``), otherwise selective rounds (``"maxscore"``).
 
     With ``defer_taat=True``, every would-be plain-dense-TAAT fallback
     returns ``None`` instead so the caller can batch those queries through
     the term-major ``taat_topk_dense_multi`` (bandwidth amortization);
     the pruned paths are unaffected.
 
-    Terms are processed in ASCENDING df order. Each round adds the next
-    term's postings to the candidate set and computes those documents'
-    EXACT scores by sorted-term searchsorted gathers over every query term
-    (the oracle's float64 summation order → bitwise-identical output,
-    tested); θ = the k-th best exact candidate score so far. Before each
-    round: any document lacking every processed term scores at most the
-    sum of the remaining terms' upper bounds — when that is strictly below
-    θ, no outside document can reach or tie the top-k and the loop stops.
+    Selective rounds process terms in ASCENDING df order. Each round adds
+    the next term's postings to the candidate set and computes those
+    documents' EXACT scores by sorted-term searchsorted gathers over every
+    query term (the oracle's float64 summation order → bitwise-identical
+    output, tested); θ = the k-th best exact candidate score so far.
+    Before each round: any document lacking every processed term scores
+    at most the sum of the remaining terms' upper bounds — when that is
+    strictly below θ, no outside document can reach or tie the top-k and
+    the loop stops.
 
-    On selective queries (a rare term + frequent terms) round one scores
-    only df_rare documents, θ lands near the final k-th score, and the
-    frequent terms' postings are never streamed (49 → ~2 ms/query at 500k
-    docs, measured). When the rarest term is itself frequent (θ cannot
-    beat the remaining bounds) it falls back to plain dense TAAT before
-    doing any candidate work."""
+    On selective queries (a rare term with df ≥ k + frequent terms) round
+    one scores only df_rare documents, θ lands near the final k-th score,
+    and the frequent terms' postings are never streamed (49 → ~2
+    ms/query at 500k docs, measured). If the candidate set still grows
+    past half of Σdf it falls back to plain dense TAAT (the safety net
+    behind the planner's df-only estimate)."""
     if not entries:
         return np.empty(0, np.uint64), np.empty(0, np.float64)
     if len(entries) == 1:
@@ -915,26 +944,22 @@ def maxscore_topk_dense(
         order = scorer.topk_order(contrib, docids, k)
         return docids[order], contrib[order]
     plain = [(e[0], e[1]) for e in entries]
-    dfs = np.array([len(e[0]) for e in entries], dtype=np.int64)
-    total = int(dfs.sum())
-    if dfs.min() > 0.05 * total:
-        # no selective entry point: docid-ordered candidate gathering cannot
-        # beat one streaming pass — but IMPACT-ordered expansion can, when
-        # cached impact permutations are available (head-only queries)
-        if impact_fn is not None:
-            perms = [impact_fn(i) for i in range(len(entries))]
-            if all(pm is not None for pm in perms):
-                posmaps = (
-                    [posmap_fn(i) for i in range(len(entries))]
-                    if posmap_fn is not None
-                    else None
-                )
-                return _impact_expand(
-                    entries, k, buf, ids, perms, posmaps,
-                    defer_taat=defer_taat, scratch=scratch,
-                )
+    if impact_fn is not None:
+        perms = [impact_fn(i) for i in range(len(entries))]
+        if all(pm is not None for pm in perms):
+            posmaps = (
+                [posmap_fn(i) for i in range(len(entries))]
+                if posmap_fn is not None
+                else None
+            )
+            return _impact_expand(
+                entries, k, buf, ids, perms, posmaps,
+                defer_taat=defer_taat, scratch=scratch,
+            )
         return (None if defer_taat
                 else taat_topk_dense(plain, k, buf, ids, scratch))
+    dfs = np.array([len(e[0]) for e in entries], dtype=np.int64)
+    total = int(dfs.sum())
     posmaps = None  # selective rounds: candidate sets are small, binary
     # search over the rare prefixes beats building dense maps
     order_df = np.argsort(dfs, kind="stable")
@@ -1209,6 +1234,10 @@ class QueryExecutor:
         # ~200 B each. result_cache=0 disables.
         self._rcache: OrderedDict[tuple, tuple] = OrderedDict()
         self._rcache_max = result_cache
+        # per-executor route mix: plan_route's decisions ("taat",
+        # "maxscore", "impact"), "deferred" queries handed to the batched
+        # TAAT, and "result_cache" hits
+        self.routes: Counter = Counter()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.k <= 0:
@@ -1258,6 +1287,7 @@ class QueryExecutor:
             if cached is not None:
                 self._rcache.move_to_end(ckey)
                 results[i] = cached
+                self.routes["result_cache"] += 1
                 continue
             if self.method in ("taat", "maxscore") or dense_bmw:
                 pairs = [
@@ -1270,36 +1300,33 @@ class QueryExecutor:
                 if self.store.dense_size:
                     buf, ids_arr = self.store.dense_buffers()
                     scratch = self.store.dense_scratch()
-                    if self.method == "maxscore":
+                    route = self.method
+                    if route == "maxscore":
+                        route = plan_route(entries, self.k)
+                        self.routes[route] += 1
+                    r = None
+                    if route in ("maxscore", "impact"):
                         r = maxscore_topk_dense(
                             entries, self.k, buf, ids_arr,
-                            impact_fn=lambda i: self.store.impact(pres[i]),
+                            impact_fn=(lambda i: self.store.impact(pres[i]))
+                            if route == "impact" else None,
                             posmap_fn=lambda i: self.store.posmap(pres[i]),
                             defer_taat=can_defer, scratch=scratch,
                         )
-                        if r is None:
-                            key = tuple(terms)
-                            deferred.setdefault(key, []).append(i)
-                            deferred_pairs[key] = pairs
-                            continue
-                        docids, scores = r
-                    elif (
-                        self.method == "taat"
-                        and can_defer
-                        and len(entries) >= 2
-                    ):
-                        key = tuple(terms)
-                        deferred.setdefault(key, []).append(i)
-                        deferred_pairs[key] = pairs
-                        continue
-                    else:
+                    elif not (route == "taat" and can_defer
+                              and len(entries) >= 2):
                         topk = {
                             "taat": taat_topk_dense,
                             "bmw": pruned_topk_dense,
-                        }[self.method]
-                        docids, scores = topk(
-                            entries, self.k, buf, ids_arr, scratch
-                        )
+                        }[route]
+                        r = topk(entries, self.k, buf, ids_arr, scratch)
+                    if r is None:
+                        key = tuple(terms)
+                        deferred.setdefault(key, []).append(i)
+                        deferred_pairs[key] = pairs
+                        self.routes["deferred"] += 1
+                        continue
+                    docids, scores = r
                 else:
                     # sparse ids: maxscore falls back to plain TAAT
                     docids, scores = taat_topk_entries(entries, self.k)
@@ -1712,7 +1739,8 @@ def search_pipeline(
             warm_refs = warm_posting_refs(
                 index_dir, terms, chunks=total, banned=banned_ref
             )
-        except Exception:
+        except Exception as e:
+            log.warning("warm-up failed, serving unwarmed: %r", e)
             warm_refs = None
     if concurrency is None:
         # fixed-size pool, started upfront: scoring is the stage's CPU

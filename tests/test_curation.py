@@ -3,6 +3,7 @@
 import pyarrow as pa
 import ray
 
+from conftest import REPO_ROOT
 from dpr_ray.stages.curation import curate_corpus
 from dpr_ray.stages.dedup import ngram_jaccard_pairs
 
@@ -331,7 +332,7 @@ def test_curate_job_empty_keepset(tmp_path):
 
     out_dir = str(tmp_path / "curated")
     cmd = [
-        sys.executable, "/root/repo/tools/curate_job.py",
+        sys.executable, os.path.join(REPO_ROOT, "tools", "curate_job.py"),
         "--docs", "/root/testdata/sf0.001/documents.parquet",
         "--id-col", "doc_id", "--text-col", "text",
         "--out-dir", out_dir, "--write-corpus",
@@ -429,7 +430,7 @@ def test_curate_job_uint64_ids_kept_exactly(tmp_path):
     pq.write_table(docs, dpath)
     out_dir = str(tmp_path / "curated")
     r = subprocess.run(
-        [sys.executable, "/root/repo/tools/curate_job.py",
+        [sys.executable, os.path.join(REPO_ROOT, "tools", "curate_job.py"),
          "--docs", dpath, "--out-dir", out_dir, "--write-corpus",
          "--min-quality-i6", "0", "--min-tokens", "1", "--num-cpus", "2"],
         cwd=str(tmp_path), capture_output=True, text=True, timeout=300,

@@ -13,6 +13,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pytest
 
+from conftest import REPO_ROOT
 from dpr_ray import corpus as corpus_mod
 from dpr_ray.index import segments as seg
 from dpr_ray.index.build import build_index
@@ -585,7 +586,7 @@ def test_merge_job_signature_deletes_flag(tmp_path):
     same deletes file means different tombstones under the flag."""
     import sys
 
-    sys.path.insert(0, "/root/repo/tools")
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
     try:
         from merge_job import _signature
     finally:
@@ -832,7 +833,7 @@ def test_merge_signature_framing(tmp_path):
     assert s1 != s2
     import sys
 
-    sys.path.insert(0, "/root/repo/tools")
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
     try:
         from merge_job import _signature
     finally:
@@ -959,7 +960,7 @@ def test_merge_job_bootstrap_missing_base(tmp_path):
         delta.iloc[i * 3:(i + 1) * 3].to_parquet(f"{dpath}/part{i}.parquet")
     out_index = str(tmp_path / "out")
     cmd = [
-        sys.executable, "/root/repo/tools/merge_job.py",
+        sys.executable, os.path.join(REPO_ROOT, "tools", "merge_job.py"),
         "--base-index", str(tmp_path / "no_such_base"),
         "--delta-corpus", dpath,
         "--out-index", out_index,
@@ -976,7 +977,7 @@ def test_merge_job_bootstrap_missing_base(tmp_path):
     assert seg.read_stats(out_index)["N"] == 12
     # no delta and no base: loud, not a FileNotFoundError
     r2 = subprocess.run(
-        [sys.executable, "/root/repo/tools/merge_job.py",
+        [sys.executable, os.path.join(REPO_ROOT, "tools", "merge_job.py"),
          "--base-index", str(tmp_path / "no_such_base"),
          "--delta-index", str(tmp_path / "also_missing"),
          "--out-index", str(tmp_path / "out2"), "--num-cpus", "2"],

@@ -8,6 +8,7 @@ from dpr_ray import corpus as corpus_mod
 from dpr_ray.config import BM25Params
 from dpr_ray.index.build import build_index
 from dpr_ray.query import executor as qe
+from dpr_ray.query.executor import search_pipeline
 from dpr_ray.query.oracle import BruteForceBM25
 
 N_DOCS = 150
@@ -215,7 +216,8 @@ def test_maxscore_exact_vs_oracle(ray_session, tmp_path):
     queries = [
         "def",                              # single term
         "def return import class self",     # all-head
-        "answer_3 def return",              # rare + head (pruning fires)
+        "answer_3 def return",              # rare df 8 < k + head
+        "café def return",                  # rare df 13 ≥ k + head (MaxScore)
         "rare def for while if int void",   # mixed many terms
         "zzz_missing def",
         "",
@@ -231,6 +233,111 @@ def test_maxscore_exact_vs_oracle(ray_session, tmp_path):
         expected = oracle.top_k(q, 10)
         got = sorted(by_qid.get(f"m{i}", []), key=lambda r: r["rank"])
         assert [(r["docid"], r["score"]) for r in got] == expected, q
+    # the selective rounds must actually run: "answer_3" (df 8 < k) cannot
+    # set θ alone, so its query is planned onto TAAT; "café" (df 13) can
+    for q, route in [("answer_3 def return", "taat"),
+                     ("café def return", "maxscore")]:
+        ex1 = qe.QueryExecutor(index_dir, k=10, method="maxscore")
+        ex1(pa.table({"qid": ["r"], "question": [q]}))
+        assert ex1.routes == {route: 1}, q
+
+
+def _df_entries(dfs):
+    return [(np.arange(df, dtype=np.int64), np.ones(df), 1.0) for df in dfs]
+
+
+@pytest.mark.parametrize("dfs,k,route", [
+    ((1, 770, 770), 10, "taat"),        # rare df < k: need takes a head list
+    ((7700, 2, 7700, 7700), 10, "taat"),  # unsorted input
+    ((10, 770, 770), 10, "maxscore"),   # df_rare ≥ k sets θ in round one
+    ((3, 9, 770, 770), 10, "maxscore"),  # two rare terms reach k together
+    ((700, 770, 800), 10, "impact"),    # head-only
+    ((5,), 10, "impact"),               # single term
+    ((1, 2, 900), 1000, "taat"),        # k > Σdf: need = Σdf
+    ((1, 770, 770), 1, "maxscore"),     # k = 1: the df-1 term sets θ
+    ((50, 5000, 5000), 100, "taat"),
+    ((50, 60, 5000, 5000), 100, "maxscore"),
+])
+def test_plan_route_unit(dfs, k, route):
+    assert qe.plan_route(_df_entries(dfs), k) == route
+
+
+PLANNED = ["rare_tok_3 def return", "café def return", "def return import",
+           "café", ""]
+
+
+@pytest.mark.parametrize("mode", ["plain", "deferred", "banned", "ranged"])
+def test_planned_route_bitwise(setup_dense, monkeypatch, mode):
+    """method="maxscore" serves plan_route's choice; it must equal forced
+    TAAT and the oracle bitwise, also through the deferred batched TAAT,
+    with tombstones and in a docid_range store. "rare_tok_3" tokenizes to
+    a df-3 term ("3") below k=5, so its query is planned onto TAAT."""
+    import pyarrow as pa
+    from bm25_oracle import oracle_topk
+
+    index_dir, oracle = setup_dense
+    kw, banned, rng = {}, [], None
+    if mode == "deferred":
+        monkeypatch.setenv("DPR_BATCH_MIN_ACCUM_MB", "0")
+    elif mode == "banned":
+        banned = kw["banned_docids"] = np.arange(0, N_DOCS, 9, dtype=np.uint64)
+    elif mode == "ranged":
+        rng = kw["docid_range"] = (20, 110)
+    batch = pa.table({"qid": [f"p{i}" for i in range(len(PLANNED))],
+                      "question": PLANNED})
+    ex = qe.QueryExecutor(index_dir, k=5, method="maxscore", result_cache=0,
+                          **kw)
+    got = ex(batch).to_pylist()
+    assert got == qe.QueryExecutor(index_dir, k=5, method="taat",
+                                   result_cache=0, **kw)(batch).to_pylist()
+    by_q: dict[str, list] = {q: [] for q in PLANNED}
+    for r in got:
+        by_q[r["question"]].append((r["docid"], r["score"]))
+    for q in PLANNED:
+        assert by_q[q] == oracle_topk(oracle, q, 5, banned, rng), (mode, q)
+    if mode == "plain":
+        assert ex.routes == {"taat": 1, "maxscore": 2, "impact": 2}
+    assert ex.routes["taat"] >= 1
+    if mode == "deferred":
+        assert ex.store.multi_group_size() >= 2
+        # planned TAAT defers; so may an impact expansion that bails
+        assert ex.routes["deferred"] >= ex.routes["taat"]
+    # a repeat is answered from the result cache and counted as such
+    ex.routes.clear()
+    ex._rcache_max = 100
+    ex(batch)
+    ex(batch)
+    assert ex.routes["result_cache"] == len(PLANNED)
+
+
+def test_warm_failure_logs_and_serves_unwarmed(setup_dense, ray_session,
+                                               monkeypatch, caplog):
+    """A failing warm-up is logged by name and serving goes on unwarmed,
+    with the same results as warm=False."""
+    import ray.data
+
+    index_dir, _oracle = setup_dense
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("warm boom")
+
+    rows = [{"qid": f"q{i}", "question": q} for i, q in enumerate(QUERIES)]
+
+    def run(warm):
+        qds = ray.data.from_items(rows).repartition(2)
+        df = search_pipeline(qds, index_dir, k=7, method="maxscore",
+                             warm=warm).to_pandas()
+        return df.sort_values(["qid", "rank"]).reset_index(drop=True)[
+            ["qid", "rank", "docid", "score"]
+        ]
+
+    want = run(False)
+    monkeypatch.setattr(qe, "warm_posting_refs", boom)
+    with caplog.at_level("WARNING", logger="dpr_ray.query.executor"):
+        got = run(True)
+    assert any("warm-up failed" in r.getMessage()
+               and "warm boom" in r.getMessage() for r in caplog.records)
+    assert got.equals(want)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import tempfile
 
+from conftest import REPO_ROOT
+
 DRIVE = """
 import sys
 sys.path.insert(0, {repo!r})
@@ -35,7 +37,7 @@ def test_queries_run_from_off_path_cwd():
     with tempfile.TemporaryDirectory() as tmp:
         script = f"{tmp}/drive.py"
         with open(script, "w") as f:
-            f.write(DRIVE.format(repo="/root/repo"))
+            f.write(DRIVE.format(repo=REPO_ROOT))
         out = subprocess.run(
             [sys.executable, script],
             cwd=tmp,
