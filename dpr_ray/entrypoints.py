@@ -200,40 +200,18 @@ FROM ({TF_SQL}) GROUP BY term
 def q_postings(sf_dir: str):
     index_dir = ensure_index(sf_dir)
     ds = ray.data.read_parquet(os.path.join(index_dir, "segments"))
-    # capture the FUNCTIONS, not the `seg` module: a module object in a
+    # capture the FUNCTION, not the `seg` module: a module object in a
     # closure pickles as import-by-name, which off-path workers can't do
-    concat_delta_decode = seg.concat_delta_decode
-    concat_varint_decode = seg.concat_varint_decode
+    decode_blocks = seg.decode_blocks
 
     def decode(batch: pa.Table) -> pa.Table:
-        """Vectorized postings dump: ONE concatenated varint decode per
-        stream for the whole batch (segments.concat_*_decode), terms
-        re-attached by repeat counts — no per-row Python decode."""
-        import pyarrow.compute as pc_
-
-        empty = pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "docid": pa.array([], pa.int64()),
-                "tf": pa.array([], pa.int64()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        bd = batch["block_docids"].combine_chunks()
-        bt = batch["block_tfs"].combine_chunks()
-        n_blocks = pc_.list_value_length(bd).to_numpy(zero_copy_only=False)
-        d_blobs = bd.flatten().to_pylist()
-        if not d_blobs:
-            return empty
-        docids, vpb = concat_delta_decode(d_blobs)
-        tfs, _ = concat_varint_decode(bt.flatten().to_pylist())
-        row_per_blob = np.repeat(np.arange(batch.num_rows), n_blocks)
-        row_per_val = np.repeat(row_per_blob, vpb)
-        terms = batch["term"].take(pa.array(row_per_val, pa.int64()))
+        """Vectorized postings dump through the segment codec: one
+        concatenated decode per stream for the whole batch, terms
+        re-attached by each posting's row."""
+        docids, tfs, _, rows, _ = decode_blocks(batch)
         return pa.table(
             {
-                "term": terms,
+                "term": batch["term"].take(pa.array(rows, pa.int64())),
                 "docid": pa.array(docids.astype(np.int64), pa.int64()),
                 "tf": pa.array(tfs.astype(np.int64), pa.int64()),
             }

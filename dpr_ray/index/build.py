@@ -18,10 +18,10 @@ with postings instead of dense vectors:
        ≤ group_budget postings (skew: SURVEY §4)
   → groupby(tbucket, salt).map_groups(merge_bucket)  — the ONLY shuffle,
        moving compressed sub-lists; groups are term BUCKETS (16), not terms
-       (map_groups costs ~1ms Python per group). Each bucket decodes all
-       sub-lists in one concatenated varint pass, lexsorts (term, docid),
-       re-encodes: small terms batched, head terms per-term with
-       slice_id = salt (ordered docid ranges ⇒ slices concatenate sorted).
+       (map_groups costs ~1ms Python per group). Each bucket goes through
+       the segment codec (segments.decode_blocks → encode_bucket): small
+       terms batched, head terms per-term with slice_id = salt*64 + i
+       (ordered docid ranges ⇒ slices concatenate sorted).
        Same skew plan + same corpus ⇒ byte-identical segments at any
        parallelism (resume determinism; the plan is a deterministic
        function of the corpus sample).
@@ -739,92 +739,28 @@ def build_index(
     # ---- stage 4: pre-encoded postings → groupby(tbucket, salt) → segments
     # Grouping at BUCKET granularity (not per term): map_groups costs ~1ms
     # of Python per group, which at code-scale vocabularies (100k+ terms)
-    # dominates the whole stage. One group = one term bucket; inside, all
-    # sub-lists are decoded in ONE vectorized pass (concatenated varint
-    # decode + cumsum-with-resets), lexsorted by (term, docid), and small
-    # terms are re-encoded by the batched single-block encoder.
+    # dominates the whole stage. One group = one term bucket, decoded and
+    # re-encoded by the segment codec (seg.decode_blocks / encode_bucket).
     def merge_bucket(group: pa.Table) -> pa.Table:
-        # LOCKSTEP WARNING: merge.py's remerge_bucket re-implements this
-        # decode → lexsort(term, docid) → re-encode core (different salt /
-        # upsert-rank handling); the merge==build byte-identity property
-        # depends on the two staying semantically aligned — fix both or
-        # the property tests in test_merge_upsert.py will catch the drift.
         salt = int(group["salt"][0].as_py())
-        d_all, tf_all, dl_all, tidx, terms_sorted = _bulk_decode_group(group)
-        if len(d_all) == 0:
-            return seg.rows_to_table([])
-        order = np.lexsort((d_all, tidx))
-        d_all, tf_all, dl_all, tidx = (
-            d_all[order], tf_all[order], dl_all[order], tidx[order],
+        docids, tfs, dls, rows, _ = seg.decode_blocks(group)
+        out = seg.encode_bucket(
+            group["term"].to_pylist(), rows, docids, tfs, dls, avgdl,
+            params, num_tbuckets, block_size, max_postings_per_slice,
+            slice_id_offset=salt * 64,
         )
-        bounds = np.flatnonzero(np.diff(tidx)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(tidx)]])
-        small_terms: list[str] = []
-        s_off = [0]
-        s_idx: list[np.ndarray] = []
-        out_rows: list[dict] = []
-        for s, e in zip(starts, ends):
-            term = terms_sorted[tidx[s]]
-            n = e - s
-            if n <= block_size and salt == 0:
-                small_terms.append(term)
-                s_idx.append(np.arange(s, e))
-                s_off.append(s_off[-1] + n)
-            else:
-                rows = seg.encode_posting_list(
-                    term, d_all[s:e], tf_all[s:e], dl_all[s:e],
-                    avgdl, params, num_tbuckets, block_size,
-                    max_postings_per_slice, slice_id_offset=salt * 64,
+        # a salted term's slices must stay inside its salt's 64 ids
+        # (unsalted terms own every slice id and have no cap)
+        over = np.flatnonzero(out["slice_id"].to_numpy() >= salt * 64 + 64)
+        for term in out["term"].take(over).to_pylist():
+            if term in salt_map:
+                raise ValueError(
+                    f"salted term {term!r} needs more than 64 slices in "
+                    f"salt group {salt}: raise max_postings_per_slice "
+                    f"({max_postings_per_slice}) or lower group_budget "
+                    f"({group_budget})"
                 )
-                assert len(rows) <= 64, f"slice overflow {term!r} salt {salt}"
-                out_rows.extend(rows)
-        parts = []
-        if small_terms:
-            sel = np.concatenate(s_idx)
-            small_tbl, _ = seg.encode_single_block_lists(
-                small_terms, np.asarray(s_off, dtype=np.int64),
-                d_all[sel], tf_all[sel], dl_all[sel],
-                avgdl, params, num_tbuckets,
-            )
-            parts.append(small_tbl)
-        if out_rows:
-            parts.append(seg.rows_to_table(out_rows))
-        if not parts:
-            return seg.rows_to_table([])
-        return pa.concat_tables(parts)
-
-    def _bulk_decode_group(group: pa.Table):
-        """All sub-lists of a (tbucket, salt) group → concatenated
-        (docids, tfs, dls, term_idx) via ONE varint decode per stream."""
-        terms_col = group["term"].to_pylist()
-        uniq_terms = sorted(set(terms_col))
-        t_to_i = {t: i for i, t in enumerate(uniq_terms)}
-        d_blobs: list[bytes] = []
-        tf_blobs: list[bytes] = []
-        dl_blobs: list[bytes] = []
-        counts: list[int] = []
-        row_tidx: list[int] = []
-        for i in range(group.num_rows):
-            for b_d, b_t, b_l in zip(
-                group["block_docids"][i].as_py(),
-                group["block_tfs"][i].as_py(),
-                group["block_dls"][i].as_py(),
-            ):
-                d_blobs.append(b_d)
-                tf_blobs.append(b_t)
-                dl_blobs.append(b_l)
-                row_tidx.append(t_to_i[terms_col[i]])
-        if not d_blobs:
-            z = np.empty(0, np.uint64)
-            return z, z, z, np.empty(0, np.int64), uniq_terms
-        docids, vals_per_blob = seg.concat_delta_decode(d_blobs)
-        tfs, _ = seg.concat_varint_decode(tf_blobs)
-        dls, _ = seg.concat_varint_decode(dl_blobs)
-        tidx = np.repeat(
-            np.asarray(row_tidx, dtype=np.int64), vals_per_blob
-        )
-        return docids, tfs, dls, tidx, uniq_terms
+        return out
 
     posts = ray.data.read_parquet(
         docstore_dir, columns=["docid", "content", "doclen"]

@@ -490,95 +490,24 @@ def merge_indexes(
     # ---- segments: ONE groupby(tbucket) over encoded sub-lists, re-encoded
     # with the merged avgdl (block-max bounds depend on it). BUCKET
     # granularity, not per-term: map_groups costs ~1ms of Python per group,
-    # which at code-scale vocabularies (100k+ terms) dominates the stage —
-    # same lesson as build_index's merge_bucket (build.py:376). Inside a
-    # bucket every sub-list decodes in ONE vectorized varint pass; upsert
-    # filtering is a single searchsorted over the concatenated values.
-    encode_posting_list = seg.encode_posting_list
-    encode_single_block_lists = seg.encode_single_block_lists
-    rows_to_table = seg.rows_to_table
-    concat_delta_decode = seg.concat_delta_decode
-    concat_varint_decode = seg.concat_varint_decode
+    # which at code-scale vocabularies (100k+ terms) dominates the stage.
+    # A bucket goes through the same segment codec as build's merge_bucket
+    # (seg.decode_blocks → encode_bucket); upsert filtering in between is
+    # a single searchsorted over the decoded postings.
+    decode_blocks = seg.decode_blocks
+    encode_bucket = seg.encode_bucket
 
     def remerge_bucket(group: pa.Table) -> pa.Table:
-        # LOCKSTEP WARNING: this re-implements build.py merge_bucket's
-        # decode → lexsort → re-encode core (see the note there); the
-        # byte-identity property tests gate the pair.
-        terms_col = group["term"].to_pylist()
-        uniq_terms = sorted(set(terms_col))
-        t_to_i = {t: i for i, t in enumerate(uniq_terms)}
-        ranks_col = (
-            group["src_rank"].to_numpy(zero_copy_only=False) if upsert else None
-        )
-        d_blobs: list[bytes] = []
-        tf_blobs: list[bytes] = []
-        dl_blobs: list[bytes] = []
-        row_tidx: list[int] = []
-        row_rank: list[int] = []
-        for i in range(group.num_rows):
-            for b_d, b_t, b_l in zip(
-                group["block_docids"][i].as_py(),
-                group["block_tfs"][i].as_py(),
-                group["block_dls"][i].as_py(),
-            ):
-                d_blobs.append(b_d)
-                tf_blobs.append(b_t)
-                dl_blobs.append(b_l)
-                row_tidx.append(t_to_i[terms_col[i]])
-                if upsert:
-                    row_rank.append(int(ranks_col[i]))
-        if not d_blobs:
-            return rows_to_table([])
-        docids, vals_per_blob = concat_delta_decode(d_blobs)
-        tfs, _ = concat_varint_decode(tf_blobs)
-        dls, _ = concat_varint_decode(dl_blobs)
-        tidx = np.repeat(np.asarray(row_tidx, dtype=np.int64), vals_per_blob)
+        docids, tfs, dls, rows, _ = decode_blocks(group)
         if upsert:
             si, sw = ray.get(shadow_ref)
-            rk = np.repeat(np.asarray(row_rank, dtype=np.int64), vals_per_blob)
+            rk = group["src_rank"].to_numpy()[rows]
             m = keep_mask(docids, rk, si, sw)
-            docids, tfs, dls, tidx = docids[m], tfs[m], dls[m], tidx[m]
-            if len(docids) == 0:
-                return rows_to_table([])
-        order = np.lexsort((docids, tidx))
-        docids, tfs, dls, tidx = (
-            docids[order], tfs[order], dls[order], tidx[order],
+            docids, tfs, dls, rows = docids[m], tfs[m], dls[m], rows[m]
+        return encode_bucket(
+            group["term"].to_pylist(), rows, docids, tfs, dls, avgdl,
+            params, num_tbuckets, block_size, max_pps,
         )
-        bounds = np.flatnonzero(np.diff(tidx)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(tidx)]])
-        small_terms: list[str] = []
-        s_off = [0]
-        s_idx: list[np.ndarray] = []
-        out_rows: list[dict] = []
-        for s, e in zip(starts, ends):
-            term = uniq_terms[tidx[s]]
-            n = e - s
-            if n <= block_size:
-                small_terms.append(term)
-                s_idx.append(np.arange(s, e))
-                s_off.append(s_off[-1] + n)
-            else:
-                out_rows.extend(
-                    encode_posting_list(
-                        term, docids[s:e], tfs[s:e], dls[s:e],
-                        avgdl, params, num_tbuckets, block_size, max_pps,
-                    )
-                )
-        parts = []
-        if small_terms:
-            sel = np.concatenate(s_idx)
-            small_tbl, _ = encode_single_block_lists(
-                small_terms, np.asarray(s_off, dtype=np.int64),
-                docids[sel], tfs[sel], dls[sel],
-                avgdl, params, num_tbuckets,
-            )
-            parts.append(small_tbl)
-        if out_rows:
-            parts.append(rows_to_table(out_rows))
-        if not parts:
-            return rows_to_table([])
-        return pa.concat_tables(parts)
 
     from .io import write_partitioned
 

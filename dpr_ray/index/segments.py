@@ -26,6 +26,17 @@ parallelism, or resume points.
 
 ``tbucket = crc32(term) % num_tbuckets`` is the stable term-partitioning
 function shared by build and query (partition pruning at query time).
+
+The codec: every reader and rewriter of segment rows goes through two
+functions here. ``decode_blocks`` decodes all blocks of a segment table
+(any rows, any terms; optionally only the blocks of a mask) with one
+delta and two varint decodes over the concatenated blobs, and reports
+each posting's row. ``encode_bucket`` is its inverse for a whole term
+bucket: lexsort by (term, docid), one run per term, small unsalted runs
+through the batched ``encode_single_block_lists``, the rest through
+``encode_posting_list``. Build (``merge_bucket``), merge
+(``remerge_bucket``), the query store (``SegmentStore.scored``) and the
+postings dump (``entrypoints.q_postings``) all use this pair.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import codec
 from ..config import BLOCK_SIZE, BM25Params
@@ -252,6 +264,90 @@ def concat_delta_decode(blobs: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     absd = np.cumsum(deltas)
     corr = absd[starts] - deltas[starts]
     return absd - np.repeat(corr, vals_per_blob), vals_per_blob
+
+
+def decode_blocks(
+    tbl: pa.Table, block_mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the posting blocks of a segment table in one concatenated
+    pass per stream (rows in table order, blocks in row order).
+    ``block_mask`` (bool, one entry per block of the flattened table)
+    drops blocks before they are decoded. Returns (docids, tfs, dls,
+    row of each posting, values per decoded block)."""
+    streams = [
+        pc.list_flatten(tbl.column(c))
+        for c in ("block_docids", "block_tfs", "block_dls")
+    ]
+    row_of_block = np.repeat(
+        np.arange(tbl.num_rows),
+        pc.list_value_length(tbl.column("block_docids")).to_numpy(),
+    )
+    if block_mask is not None:
+        row_of_block = row_of_block[block_mask]
+        streams = [b.filter(pa.array(block_mask)) for b in streams]
+    docids, vals_per_block = concat_delta_decode(streams[0].to_pylist())
+    tfs, _ = concat_varint_decode(streams[1].to_pylist())
+    dls, _ = concat_varint_decode(streams[2].to_pylist())
+    rows = np.repeat(row_of_block, vals_per_block)
+    return docids, tfs, dls, rows, vals_per_block
+
+
+def encode_bucket(
+    row_terms: list[str],
+    rows: np.ndarray,
+    docids: np.ndarray,
+    tfs: np.ndarray,
+    dls: np.ndarray,
+    avgdl: float,
+    params: BM25Params,
+    num_tbuckets: int,
+    block_size: int,
+    max_postings_per_slice: int,
+    slice_id_offset: int = 0,
+) -> pa.Table:
+    """Segment table of a bucket's postings, given in any order with
+    ``row_terms[rows[i]]`` the term of posting i (``decode_blocks``'s
+    output). Lexsorts by (term, docid) and encodes one run per term: at
+    slice offset 0 a term of ≤ ``block_size`` postings goes through the
+    batched single-block encoder, every other term through
+    ``encode_posting_list`` with slice ids from ``slice_id_offset``."""
+    if len(docids) == 0:
+        return rows_to_table([])
+    terms = sorted(set(row_terms))
+    t_to_i = {t: i for i, t in enumerate(terms)}
+    tidx = np.asarray([t_to_i[t] for t in row_terms], np.int64)[rows]
+    order = np.lexsort((docids, tidx))
+    docids, tfs, dls, tidx = docids[order], tfs[order], dls[order], tidx[order]
+    bounds = np.flatnonzero(np.diff(tidx)) + 1
+    starts = np.concatenate([[0], bounds])
+    ends = np.concatenate([bounds, [len(tidx)]])
+    small_terms: list[str] = []
+    s_off = [0]
+    s_idx: list[np.ndarray] = []
+    out_rows: list[dict] = []
+    for s, e in zip(starts, ends):
+        term = terms[tidx[s]]
+        if e - s <= block_size and slice_id_offset == 0:
+            small_terms.append(term)
+            s_idx.append(np.arange(s, e))
+            s_off.append(s_off[-1] + e - s)
+        else:
+            out_rows.extend(encode_posting_list(
+                term, docids[s:e], tfs[s:e], dls[s:e], avgdl, params,
+                num_tbuckets, block_size, max_postings_per_slice,
+                slice_id_offset,
+            ))
+    parts = []
+    if small_terms:
+        sel = np.concatenate(s_idx)
+        small_tbl, _ = encode_single_block_lists(
+            small_terms, np.asarray(s_off, dtype=np.int64),
+            docids[sel], tfs[sel], dls[sel], avgdl, params, num_tbuckets,
+        )
+        parts.append(small_tbl)
+    if out_rows:
+        parts.append(rows_to_table(out_rows))
+    return pa.concat_tables(parts)
 
 
 def decode_rows(rows: list[dict]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

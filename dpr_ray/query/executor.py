@@ -104,20 +104,21 @@ class SegmentStore:
     """Per-actor view of an index: stats + LRU-cached posting lists.
 
     Cache layers (all per actor, shared across batches):
-    - whole term buckets as Arrow tables + a term → row-indices map: the
-      first miss in a bucket reads it with one partition-pruned scan, and
-      every later miss there is a ``take``. LRU by Σdf under the
-      ``cache_postings`` budget; the bucket just read always stays.
-      ``bucket_reads`` counts the scans.
-    - raw segment rows per term (LRU by ``cache_terms``)
+    - whole term buckets as Arrow tables, sorted by (term, slice_id), + a
+      term → row range map: the first miss in a bucket reads it with one
+      partition-pruned scan, and every later miss there is a zero-copy
+      slice. LRU by Σdf under the ``cache_postings`` budget; the bucket
+      just read always stays. ``bucket_reads`` counts the scans.
     - decoded + pre-scored arrays per term: (docids, float64 contributions,
       upper bound) — contributions depend only on (tf, dl, df, N, avgdl),
       all fixed for an index, so repeated terms across queries cost nothing
-    - optionally pre-warmed from broadcast ``warm_refs`` (decode once per
-      cluster via warm_posting_refs; plasma numpy reads are zero-copy).
+      (optionally pre-warmed from broadcast ``warm_refs``: decode once per
+      cluster via warm_posting_refs; plasma numpy reads are zero-copy)
+    - impact permutations per head term (``impact``)
+    - dense docid → position maps per head term (``posmap``)
     """
 
-    def __init__(self, index_dir: str, cache_terms: int | None = None,
+    def __init__(self, index_dir: str,
                  cache_postings: int | None = None, warm_refs=None,
                  docid_range: tuple[int, int] | None = None,
                  banned_docids=None, warm_prefiltered: bool = False):
@@ -142,18 +143,16 @@ class SegmentStore:
             # warm_posting_refs(banned=...) with the SAME tombstone set
             # (search_pipeline does; it sets warm_prefiltered)
             warm_refs = None
-        # Per-actor cache ceilings, overridable for large-corpus deployments
-        # (env knobs follow the DPR_BATCH_ACCUM_MB convention). Combined
-        # worst-case per-actor footprint ≈ scored (≤ cache_postings elements
-        # × ~20 B: int64 docid + float64 contribution + overhead) + impact
-        # perms (≤ cache_postings × 4 B int32) + posmaps (≤ 3×cache_postings
-        # × 4 B) + resident term buckets (≤ cache_postings encoded postings,
-        # ~4 B each, plus the bucket just read) ≈ 4 GB at the 120M default
-        # — times the query-pool size;
-        # shrink DPR_CACHE_POSTINGS (or the pool) when corpus × actors
-        # exceeds node DRAM.
-        if cache_terms is None:
-            cache_terms = int(os.environ.get("DPR_CACHE_TERMS", 50_000))
+        # Per-actor cache ceiling, overridable for large-corpus deployments
+        # (env knob follows the DPR_BATCH_ACCUM_MB convention). Combined
+        # worst-case per-actor footprint over the four layers ≈ scored
+        # (≤ cache_postings elements × ~20 B: int64 docid + float64
+        # contribution + overhead) + impact perms (≤ cache_postings × 4 B
+        # int32) + posmaps (≤ 3×cache_postings × 4 B) + resident term
+        # buckets (≤ cache_postings encoded postings, ~4 B each, plus the
+        # bucket just read) ≈ 4 GB at the 120M default — times the
+        # query-pool size; shrink DPR_CACHE_POSTINGS (or the pool) when
+        # corpus × actors exceeds node DRAM.
         if cache_postings is None:
             cache_postings = int(
                 os.environ.get("DPR_CACHE_POSTINGS", 120_000_000)
@@ -167,9 +166,7 @@ class SegmentStore:
         self._ds = pads.dataset(
             os.path.join(index_dir, "segments"), partitioning="hive"
         )
-        self._cache: OrderedDict[str, list[dict] | None] = OrderedDict()
-        self._cache_terms = cache_terms
-        # tbucket → (table, term → row indices, Σdf)
+        # tbucket → (table, term → (first row, row count), Σdf)
         self._buckets: OrderedDict[int, tuple] = OrderedDict()
         self._bucket_total = 0
         self.bucket_reads = 0
@@ -236,15 +233,6 @@ class SegmentStore:
                         self._posmap[t] = posmap
                         self._posmap_total += len(posmap)
 
-    def ensure_scored(self, terms: list[str]) -> None:
-        """Decode+score any terms missing from the local cache (one batched
-        fetch)."""
-        missing = [t for t in terms if t not in self._scored]
-        if missing:
-            self.fetch(missing)
-            for t in missing:
-                self.scored(t)
-
     def dense_buffers(self):
         if self._dense_buf is None:
             self._dense_buf = np.zeros(self.dense_size, dtype=np.float64)
@@ -305,41 +293,29 @@ class SegmentStore:
         if hit is not None:
             self._scored.move_to_end(term)
             return hit
-        rows = self.fetch([term])[term]
-        if rows is None:
+        tbl = self.fetch([term])[term]
+        if tbl is None:
             return None
-        rows_sorted = sorted(rows, key=lambda r: r.get("slice_id", 0))
+        mask = None
         if self.docid_range is not None:
+            # only blocks intersecting the shard are decoded, which keeps
+            # the uint64 range mask below safe: a selected block has
+            # block_first < hi, so hi >= 1 (hi - 1 cannot wrap) and
+            # lo <= block_last < 2^64 (np.uint64(lo) cannot overflow).
             lo, hi = self.docid_range
-            d_blobs, t_blobs, l_blobs = [], [], []
-            # an empty window ([lo, lo), legal per the __init__ contract —
-            # e.g. a shard edge past max_docid) selects no blocks here,
-            # which also keeps the uint64 range mask below safe: d_blobs
-            # non-empty implies some block_first < hi, so hi >= 1 (hi - 1
-            # cannot wrap) and lo <= block_last < 2^64 (np.uint64(lo)
-            # cannot overflow).
-            for row in rows_sorted:
-                for bf, bl, bd, bt, bdl in zip(
-                    row["block_first"], row["block_last"],
-                    row["block_docids"], row["block_tfs"], row["block_dls"],
-                ):
-                    if bl >= lo and bf < hi:  # block intersects the shard
-                        d_blobs.append(bd)
-                        t_blobs.append(bt)
-                        l_blobs.append(bdl)
-        else:
-            d_blobs = [b for row in rows_sorted for b in row["block_docids"]]
-            t_blobs = [b for row in rows_sorted for b in row["block_tfs"]]
-            l_blobs = [b for row in rows_sorted for b in row["block_dls"]]
-        if not d_blobs:
+            mask = np.array([
+                bl >= lo and bf < hi for bf, bl in zip(
+                    pc.list_flatten(tbl["block_first"]).to_pylist(),
+                    pc.list_flatten(tbl["block_last"]).to_pylist(),
+                )
+            ], bool)
+        docids, tfs, dls, _, vals_per_blob = seg.decode_blocks(tbl, mask)
+        if not len(vals_per_blob):
             z = np.empty(0, np.uint64)
             zf = np.empty(0, np.float64)
             zi = np.zeros(1, np.int64)
             entry = (z, zf, 0.0, z.copy(), z.copy(), zf.copy(), zi)
         else:
-            docids, vals_per_blob = seg.concat_delta_decode(d_blobs)
-            tfs, _ = seg.concat_varint_decode(t_blobs)
-            dls, _ = seg.concat_varint_decode(l_blobs)
             if self.banned is not None and len(docids):
                 pos = np.searchsorted(self.banned, docids)
                 posc = np.minimum(pos, len(self.banned) - 1)
@@ -356,7 +332,6 @@ class SegmentStore:
                 # half-open and may be 2^64 (full-span shard over a
                 # provided-id corpus), which overflows np.uint64 — compare
                 # inclusively against hi-1 instead (identical for ints).
-                lo, hi = self.docid_range
                 m = (docids >= np.uint64(lo)) & (docids <= np.uint64(hi - 1))
                 docids, tfs, dls = docids[m], tfs[m], dls[m]
             if self.dense_size:
@@ -375,26 +350,19 @@ class SegmentStore:
                     docids = docids.astype(np.int64)
             # df stays GLOBAL in sharded mode: idf (and thus every score)
             # must equal the unsharded engine's bitwise
-            df = sum(r["df"] for r in rows)
+            df = pc.sum(tbl["df"]).as_py()
             contrib = scorer.score_contrib_vec(
                 tfs, dls, df, self.n_docs, self.avgdl, self.params
             )
             ub = float(contrib.max()) if len(contrib) else 0.0
             term_idf = scorer.idf(df, self.n_docs)
             if self.docid_range is None:
-                bfirst = np.asarray(
-                    [v for r in rows_sorted for v in r["block_first"]],
-                    np.uint64,
-                )
-                blast = np.asarray(
-                    [v for r in rows_sorted for v in r["block_last"]],
-                    np.uint64,
-                )
+                bfirst = pc.list_flatten(tbl["block_first"]).to_numpy()
+                blast = pc.list_flatten(tbl["block_last"]).to_numpy()
                 # conservative: block_max is a float32 tf_norm bound rounded UP
-                bub = term_idf * np.asarray(
-                    [v for r in rows_sorted for v in r["block_max"]],
-                    np.float64,
-                )
+                bub = term_idf * pc.list_flatten(
+                    tbl["block_max"]
+                ).to_numpy().astype(np.float64)
                 boffs = np.zeros(len(vals_per_blob) + 1, np.int64)
                 np.cumsum(vals_per_blob, out=boffs[1:])
             elif len(docids):
@@ -465,47 +433,38 @@ class SegmentStore:
             self._posmap_total -= len(old)
         return p
 
-    def fetch(self, terms: list[str]) -> dict[str, list[dict] | None]:
-        """term → segment rows (slices), or None if the term is absent.
-        Missing terms are taken from their resident bucket tables (one
-        ``take`` per bucket); a bucket not resident is read first."""
-        out: dict[str, list[dict] | None] = {}
-        missing: dict[int, dict[str, None]] = {}
+    def fetch(self, terms: list[str]) -> dict[str, pa.Table | None]:
+        """term → its segment rows (slices) as an Arrow table in slice_id
+        order, or None if the term is absent: a zero-copy slice of the
+        term's resident bucket table (read first if not resident)."""
+        by_bucket: dict[int, list[str]] = {}
         for t in terms:
-            if t in self._cache:
-                self._cache.move_to_end(t)
-                out[t] = self._cache[t]
-            else:
-                b = seg.term_bucket(t, self.num_tbuckets)
-                missing.setdefault(b, {})[t] = None
-        for b, ts in missing.items():
+            b = seg.term_bucket(t, self.num_tbuckets)
+            by_bucket.setdefault(b, []).append(t)
+        out: dict[str, pa.Table | None] = {}
+        for b, ts in by_bucket.items():
             tbl, rows_of, _ = self._bucket(b)
-            idx = [i for t in ts for i in rows_of.get(t, ())]
-            rows_by_term: dict[str, list[dict]] = {}
-            for r in tbl.take(pa.array(idx, pa.int64())).to_pylist():
-                rows_by_term.setdefault(r["term"], []).append(r)
             for t in ts:
-                rows = rows_by_term.get(t)
-                if rows is not None:
-                    rows.sort(key=lambda r: r["slice_id"])
-                self._cache[t] = rows
-                out[t] = rows
-        while len(self._cache) > self._cache_terms:
-            self._cache.popitem(last=False)
+                span = rows_of.get(t)
+                out[t] = None if span is None else tbl.slice(*span)
         return out
 
     def _bucket(self, b: int) -> tuple:
-        """(table, term → row indices, Σdf) of term bucket ``b``, read once
-        and kept in an LRU by Σdf; the bucket just read is never evicted."""
+        """(table sorted by (term, slice_id), term → (first row, row
+        count), Σdf) of term bucket ``b``, read once and kept in an LRU by
+        Σdf; the bucket just read is never evicted."""
         hit = self._buckets.get(b)
         if hit is not None:
             self._buckets.move_to_end(b)
             return hit
-        tbl = self._ds.to_table(filter=pc.field("tbucket") == b)
+        tbl = self._ds.to_table(filter=pc.field("tbucket") == b).sort_by(
+            [("term", "ascending"), ("slice_id", "ascending")]
+        )
         self.bucket_reads += 1
-        rows_of: dict[str, list[int]] = {}
+        rows_of: dict[str, tuple[int, int]] = {}
         for i, t in enumerate(tbl.column("term").to_pylist()):
-            rows_of.setdefault(t, []).append(i)
+            first, n = rows_of.get(t, (i, 0))
+            rows_of[t] = (first, n + 1)
         entry = (tbl, rows_of, pc.sum(tbl.column("df")).as_py() or 0)
         self._buckets[b] = entry
         self._bucket_total += entry[2]
@@ -522,33 +481,31 @@ class _PostingCursor:
 
     __slots__ = (
         "idf", "block_first", "block_last", "block_ub", "_ub_sfx",
-        "_enc", "_dec", "bi", "off", "nblocks", "df",
+        "_enc", "_dec", "bi", "off", "nblocks",
     )
 
-    def __init__(self, rows: list[dict], idf: float, avgdl: float, params: BM25Params):
+    def __init__(self, tbl: pa.Table, idf: float):
         self.idf = idf
-        bf, bl, bm, enc = [], [], [], []
-        for r in rows:
-            bf.extend(r["block_first"])
-            bl.extend(r["block_last"])
-            bm.extend(r["block_max"])
-            enc.extend(zip(r["block_docids"], r["block_tfs"], r["block_dls"]))
-        self.block_first = np.asarray(bf, dtype=np.uint64)
-        self.block_last = np.asarray(bl, dtype=np.uint64)
-        self.block_ub = idf * np.asarray(bm, dtype=np.float64)
+        self.block_first, self.block_last, bmax = (
+            pc.list_flatten(tbl[c]).to_numpy()
+            for c in ("block_first", "block_last", "block_max")
+        )
+        self.block_ub = idf * bmax.astype(np.float64)
         # suffix max of block_ub: max_ub() fires once per active cursor
         # per WAND iteration, and rescanning block_ub[bi:] made pivot
         # selection O(pivots × blocks) per term. max() over identical
         # floats, so values are bitwise-unchanged.
         self._ub_sfx = (
             np.maximum.accumulate(self.block_ub[::-1])[::-1]
-            if len(bm)
+            if len(self.block_ub)
             else np.empty(0, np.float64)
         )
-        self._enc = enc
+        self._enc = list(zip(*(
+            pc.list_flatten(tbl[c]).to_pylist()
+            for c in ("block_docids", "block_tfs", "block_dls")
+        )))
         self._dec: dict[int, tuple] = {}
-        self.nblocks = len(enc)
-        self.df = sum(r["df"] for r in rows)
+        self.nblocks = len(self._enc)
         self.bi = 0
         self.off = 0
 
@@ -1080,7 +1037,7 @@ def pruned_topk_dense(
 
 
 def bmw_topk(
-    term_rows: dict[str, list[dict] | None],
+    term_rows: dict[str, pa.Table | None],
     n_docs: int,
     avgdl: float,
     params: BM25Params,
@@ -1102,11 +1059,10 @@ def bmw_topk(
     Per-doc scores are full-cursor sums in term-sorted order, so shard
     results are bitwise-equal to the unsharded engine's rows for that
     range."""
-    cursors = []
-    for term in sorted(t for t, rows in term_rows.items() if rows):
-        rows = term_rows[term]
-        df = sum(r["df"] for r in rows)
-        cursors.append(_PostingCursor(rows, scorer.idf(df, n_docs), avgdl, params))
+    cursors = [
+        _PostingCursor(tbl, scorer.idf(pc.sum(tbl["df"]).as_py(), n_docs))
+        for _t, tbl in sorted(term_rows.items()) if tbl is not None
+    ]
     if not cursors or k <= 0:
         # k <= 0 must short-circuit like the other methods do: theta()'s
         # `len(heap) >= k` is vacuously true at k=0, so it would index
@@ -1202,7 +1158,6 @@ class QueryExecutor:
         index_dir: str,
         k: int = DEFAULT_TOP_K,
         method: str = "taat",
-        cache_terms: int | None = None,  # None → DPR_CACHE_TERMS env knob
         warm_refs=None,
         result_cache: int = 100_000,
         docid_range: tuple[int, int] | None = None,
@@ -1210,7 +1165,7 @@ class QueryExecutor:
         warm_prefiltered: bool = False,
     ):
         self.store = SegmentStore(
-            index_dir, cache_terms=cache_terms, warm_refs=warm_refs,
+            index_dir, warm_refs=warm_refs,
             docid_range=docid_range, banned_docids=banned_docids,
             warm_prefiltered=warm_prefiltered,
         )
@@ -1258,13 +1213,7 @@ class QueryExecutor:
         qids = batch["qid"].to_pylist()
         questions = batch["question"].to_pylist()
         q_terms = [sorted(set(toks)) for toks in analyzer.tokenize_batch(questions)]
-        all_terms = sorted({t for ts in q_terms for t in ts})
         dense_bmw = self.method == "bmw" and bool(self.store.dense_size)
-        if self.method in ("taat", "maxscore") or dense_bmw:
-            # batch-level warm-up: decode once, reuse across the batch
-            self.store.ensure_scored(all_terms)
-        else:
-            self.store.fetch(all_terms)  # one batched fetch
         nq = len(qids)
         results: list = [None] * nq
         # Plain-dense-TAAT queries are DEFERRED and evaluated together by
@@ -1333,10 +1282,9 @@ class QueryExecutor:
             else:
                 # sparse docid space: document-at-a-time block-max WAND
                 # over lazily-decoded cursors
-                fetched = self.store.fetch(terms)
-                rows = {t: fetched[t] for t in terms}
                 docids, scores = bmw_topk(
-                    rows, self.n_docs, self.avgdl, self.store.params, self.k,
+                    self.store.fetch(terms), self.n_docs, self.avgdl,
+                    self.store.params, self.k,
                     banned=self.store.banned,
                     docid_range=self.store.docid_range,
                 )

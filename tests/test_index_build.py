@@ -387,3 +387,133 @@ def test_failed_rebuild_invalidates_completeness(
     stats = build_index(ray.data.from_arrow(b).repartition(2), d,
                         docid_strategy="hash64")
     assert man.is_complete(d) and stats["N"] == 40
+
+
+def _emit_groups(tbl, shift_map, avgdl, params, block_size, batch_rows=64):
+    """Build's shuffle input, made in-process: Emit sub-lists over
+    docid-sorted batches, grouped by (tbucket, salt) as the groupby does."""
+    import pyarrow.compute as pc
+
+    from dpr_ray.index.build import EmitEncodedPostings
+    from dpr_ray.stages.featurize import Featurize
+
+    docs = Featurize(docid_strategy="hash64", num_dbuckets=16)(tbl).sort_by(
+        "docid"
+    ).select(["docid", "content", "doclen"])
+    emit = EmitEncodedPostings(shift_map, avgdl, params, 4, block_size)
+    sub = pa.concat_tables([
+        emit(docs.slice(i, batch_rows))
+        for i in range(0, docs.num_rows, batch_rows)
+    ])
+    keys = sorted(set(zip(sub["tbucket"].to_pylist(), sub["salt"].to_pylist())))
+    return [
+        (salt, sub.filter((pc.field("tbucket") == tb) & (pc.field("salt") == salt)))
+        for tb, salt in keys
+    ]
+
+
+@pytest.mark.parametrize("block_size,max_pps", [(4, 8), (16, 1_000_000)])
+def test_encode_bucket_matches_build_reference(block_size, max_pps):
+    """decode_blocks → encode_bucket writes the same segment table, byte
+    for byte, as the build rewrite it replaced (tests/codec_reference.py),
+    on unsalted groups and on head terms salted into docid ranges."""
+    from codec_reference import assert_tables_identical, ref_merge_bucket
+
+    tbl = corpus_mod.synth_corpus_table(300, seed=11)
+    params = BM25Params()
+    avgdl = 37.25
+    groups = _emit_groups(
+        tbl, {"def": 61, "return": 62, "import": 61}, avgdl, params,
+        block_size,
+    )
+    salts = set()
+    for salt, group in groups:
+        docids, tfs, dls, rows, _ = seg.decode_blocks(group)
+        got = seg.encode_bucket(
+            group["term"].to_pylist(), rows, docids, tfs, dls, avgdl, params,
+            4, block_size, max_pps, slice_id_offset=salt * 64,
+        )
+        assert_tables_identical(
+            got, ref_merge_bucket(group, avgdl, params, 4, block_size, max_pps)
+        )
+        salts.add(salt)
+    assert 0 in salts and len(salts) > 2
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(block_size=4, max_postings_per_slice=8),
+        dict(group_budget=20, sample_mod=1, partition_resume=True),
+    ],
+    ids=["multi_slice", "partition_resume"],
+)
+def test_decode_blocks_matches_decode_rows(ray_session, tmp_path, kw):
+    """decode_blocks equals the row-dict reader decode_rows term by term,
+    over the whole index and with a docid-range block mask."""
+    import ray.data
+
+    from codec_reference import check_decode_blocks, segment_table
+
+    tbl = corpus_mod.synth_corpus_table(200, seed=6)
+    d = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(tbl).repartition(4), d,
+                docid_strategy="hash64", **kw)
+    assert check_decode_blocks(d) == seg.read_stats(d)["postings"]
+    first = np.sort(np.concatenate(
+        segment_table(d)["block_first"].to_numpy(zero_copy_only=False)
+    ))
+    lo, hi = int(first[len(first) // 4]), int(first[len(first) // 2])
+    n = check_decode_blocks(d, (lo, hi))
+    assert 0 < n < seg.read_stats(d)["postings"]
+    assert check_decode_blocks(d, (0, int(first[0]))) == 0
+
+
+def _serve_equals_oracle(index_dir, tbl, queries, k=10):
+    from bm25_oracle import oracle_topk
+    from dpr_ray.query.executor import QueryExecutor
+
+    oracle = _oracle(tbl)
+    batch = pa.table({"qid": [f"q{i}" for i in range(len(queries))],
+                      "question": queries})
+    for method in ("taat", "maxscore", "bmw"):
+        got = {q: [] for q in queries}
+        for r in QueryExecutor(index_dir, k=k, method=method)(batch).to_pylist():
+            got[r["question"]].append((r["docid"], r["score"]))
+        for q in queries:
+            assert got[q] == oracle_topk(oracle, q, k, []), (method, q)
+
+
+def test_unsalted_term_past_64_slices_builds(ray_session, tmp_path):
+    """The 64-slice cap only keeps a salted term's per-salt slice id
+    ranges apart: an unsalted term may hold any number of slices (here
+    300 one-posting slices) and must build and serve like merge does."""
+    import ray.data
+
+    tbl = corpus_mod.synth_corpus_table(300, seed=6)
+    d = str(tmp_path / "idx")
+    stats = build_index(ray.data.from_arrow(tbl).repartition(4), d,
+                        docid_strategy="hash64", block_size=4,
+                        max_postings_per_slice=1)
+    assert stats["head_terms_salted"] == 0
+    rows = _load_segment_rows(d)
+    assert max(r["slice_id"] for r in rows if r["term"] == "def") == 299
+    _serve_equals_oracle(
+        d, tbl, ["def", "def return import", "while class rare_tok_3",
+                 "self answer_7"],
+    )
+
+
+def test_salted_group_past_64_slices_raises(ray_session, tmp_path):
+    """A salted term whose salt group needs more than 64 slices would run
+    into the next salt's slice ids: the build refuses with a ValueError
+    naming both knobs (an assert would vanish under python -O)."""
+    import ray.data
+
+    tbl = corpus_mod.synth_corpus_table(300, seed=6)
+    with pytest.raises(Exception, match="max_postings_per_slice") as ei:
+        build_index(ray.data.from_arrow(tbl).repartition(4),
+                    str(tmp_path / "idx"), docid_strategy="hash64",
+                    group_budget=200, sample_mod=1, max_postings_per_slice=1)
+    assert "group_budget" in str(ei.value)
+    assert "ValueError" in str(ei.value) or isinstance(ei.value, ValueError)

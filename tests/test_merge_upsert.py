@@ -1038,3 +1038,98 @@ def test_executor_rejects_unknown_method_and_join_mode(
     )
     with pytest.raises(ValueError, match="doc_join_mode"):
         search_pipeline(qb, d, with_docs=True, doc_join_mode="co-partition")
+
+
+def _merge_groups(index_dirs, with_rank):
+    """merge's shuffle input, made in-process: every input's segment rows
+    (tagged with the input's rank for upsert), grouped by tbucket."""
+    parts = []
+    for rank, d in enumerate(index_dirs):
+        t = pads.dataset(os.path.join(d, "segments"), partitioning="hive").to_table()
+        if with_rank:
+            t = t.append_column(
+                "src_rank", pa.array(np.full(t.num_rows, rank, np.int64))
+            )
+        parts.append(t)
+    allt = pa.concat_tables(parts)
+    tb = allt["tbucket"].to_numpy()
+    return [allt.filter(pa.array(tb == b)) for b in np.unique(tb)]
+
+
+@pytest.mark.parametrize("block_size,max_pps", [(4, 8), (16, 1_000_000)])
+def test_encode_bucket_matches_merge_reference(ray_session, tmp_path,
+                                               block_size, max_pps):
+    """decode_blocks → keep-mask → encode_bucket writes the same segment
+    table, byte for byte, as the merge rewrite it replaced
+    (tests/codec_reference.py): disjoint groups, and upsert groups with
+    updates and tombstones."""
+    import ray.data
+
+    from codec_reference import assert_tables_identical, ref_remerge_bucket
+    from dpr_ray.config import BM25Params
+    from dpr_ray.index.merge import _build_shadow, _keep_mask
+
+    base = corpus_mod.synth_corpus_table(120, seed=33)
+    upd = base.slice(0, 25)
+    upd = upd.set_column(
+        upd.schema.get_field_index("content"), "content",
+        pa.array([c + " updtok" for c in upd["content"].to_pylist()],
+                 pa.large_string()),
+    )
+    dbase, ddelta, dadds = (str(tmp_path / x) for x in ("b", "d", "a"))
+    for tbl, d in ((base, dbase), (pa.concat_tables([upd, _adds_table(15)]),
+                                   ddelta), (_adds_table(30), dadds)):
+        build_index(ray.data.from_arrow(tbl).repartition(2), d,
+                    docid_strategy="hash64", block_size=block_size)
+    dels = _ext_ids(base.slice(40, 12))
+    params = BM25Params()
+    avgdl = 29.5
+    n_upsert_dropped = 0
+    for dirs, upsert in (([dbase, dadds], False), ([dbase, ddelta], True)):
+        shadow = None
+        if upsert:
+            shadow = _build_shadow(dirs, [seg.read_stats(d) for d in dirs],
+                                   dels)
+        for group in _merge_groups(dirs, upsert):
+            docids, tfs, dls, rows, _ = seg.decode_blocks(group)
+            if upsert:
+                rk = group["src_rank"].to_numpy()[rows]
+                m = _keep_mask(docids, rk, *shadow)
+                n_upsert_dropped += int((~m).sum())
+                docids, tfs, dls, rows = docids[m], tfs[m], dls[m], rows[m]
+            got = seg.encode_bucket(
+                group["term"].to_pylist(), rows, docids, tfs, dls, avgdl,
+                params, 4, block_size, max_pps,
+            )
+            assert_tables_identical(got, ref_remerge_bucket(
+                group, shadow, avgdl, params, 4, block_size, max_pps,
+            ))
+    assert n_upsert_dropped > 0
+
+
+def test_decode_blocks_matches_decode_rows_upserted(ray_session, tmp_path):
+    """decode_blocks equals the row-dict reader decode_rows term by term
+    on an upsert-merged index with tombstones, whole and through a
+    docid-range block mask."""
+    import ray.data
+
+    from codec_reference import check_decode_blocks
+
+    base = corpus_mod.synth_corpus_table(150, seed=34)
+    upd = base.slice(0, 20)
+    upd = upd.set_column(
+        upd.schema.get_field_index("content"), "content",
+        pa.array([c + " updtok" for c in upd["content"].to_pylist()],
+                 pa.large_string()),
+    )
+    dbase, ddelta, dm = (str(tmp_path / x) for x in ("b", "d", "m"))
+    build_index(ray.data.from_arrow(base).repartition(3), dbase,
+                docid_strategy="hash64", block_size=4)
+    build_index(ray.data.from_arrow(upd).repartition(1), ddelta,
+                docid_strategy="hash64", block_size=4)
+    merge_indexes([dbase, ddelta], dm, mode="upsert",
+                  delete_ext_ids=_ext_ids(base.slice(50, 10)),
+                  max_postings_per_slice=8)
+    total = seg.read_stats(dm)["postings"]
+    assert check_decode_blocks(dm) == total
+    assert 0 < check_decode_blocks(dm, (1 << 62, 3 << 62)) < total

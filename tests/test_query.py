@@ -706,20 +706,6 @@ def test_warm_refs_dropped_under_docid_range(setup_dense):
             assert warm == cold, (method, rng)
 
 
-def test_cache_terms_env_knob(setup, monkeypatch):
-    """DPR_CACHE_TERMS must reach the serving path: QueryExecutor's old
-    hardcoded default (50_000) silently shadowed the env knob that
-    large-corpus deployments use to cap per-actor raw-rows cache."""
-    index_dir, _oracle = setup
-    monkeypatch.setenv("DPR_CACHE_TERMS", "7")
-    assert qe.QueryExecutor(index_dir, k=5).store._cache_terms == 7
-    # explicit argument still wins over the env
-    assert (
-        qe.QueryExecutor(index_dir, k=5, cache_terms=3).store._cache_terms
-        == 3
-    )
-
-
 def test_search_pipeline_sharded_validation(setup, ray_session, tmp_path):
     """doc_shards composition guards: dedup_queries doesn't compose with
     sharding (refuse loudly, never silently drop the requested dedup);

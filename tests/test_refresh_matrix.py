@@ -426,10 +426,10 @@ def test_merged_doc_shards_scale(big_refresh_index):
 
 
 def test_refresh_starved_caches(refresh_index, monkeypatch):
-    """Cache-starvation cell: cache_terms=2 and DPR_CACHE_POSTINGS=1 force
-    the SegmentStore to evict and re-fetch/re-decode terms WITHIN every
-    batch (the eviction loops in fetch/scored/impact/posmap never fired in
-    the default-budget lattice). The same budget keeps at most one term
+    """Cache-starvation cell: DPR_CACHE_POSTINGS=1 forces the SegmentStore
+    to evict and re-fetch/re-decode terms WITHIN every batch (the eviction
+    loops in scored/impact/posmap never fired in the default-budget
+    lattice). The same budget keeps at most one term
     bucket resident, so buckets are evicted and re-read within a batch.
     Re-decoded entries must reproduce the banned/range filtering bitwise
     — composed with bans × method × docid_range over two passes."""
@@ -465,7 +465,7 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
     for method in ("taat", "maxscore", "bmw"):
         # unsharded: starved caches, whole-corpus
         ex = QueryExecutor(
-            dm, k=k, method=method, cache_terms=2, banned_docids=banned,
+            dm, k=k, method=method, banned_docids=banned,
             result_cache=0,
         )
         for _pass in range(2):
@@ -483,7 +483,7 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
         edges = [span * s // 2 for s in range(3)]
         exs = [
             QueryExecutor(
-                dm, k=k, method=method, cache_terms=2,
+                dm, k=k, method=method,
                 docid_range=(edges[s], edges[s + 1]),
                 banned_docids=banned, result_cache=0,
             )

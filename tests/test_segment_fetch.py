@@ -57,16 +57,17 @@ def _assert_same(got: dict, ref: dict, terms: list[str]) -> None:
         if ref[t] is None:
             assert got[t] is None, t
             continue
-        assert got[t] == ref[t], t
+        rows = got[t].to_pylist()
+        assert rows == ref[t], t
         # same dict keys (tbucket included) in the same order
-        assert [list(r) for r in got[t]] == [list(r) for r in ref[t]], t
+        assert [list(r) for r in rows] == [list(r) for r in ref[t]], t
 
 
 def _check_fetch_equivalence(index_dir: str) -> int:
     """Every index term plus absent ones, fetched (a) in one call with
     duplicates, (b) per bucket, several terms at a time with a duplicate
-    and an absent term, (c) term by term under cache_terms=1 so second
-    lookups come from the resident bucket. Returns the term count."""
+    and an absent term, (c) term by term, twice, so second lookups come
+    from the resident bucket. Returns the term count."""
     terms = _index_terms(index_dir)
     probe = terms + ABSENT
     ref = _scan_fetch(SegmentStore(index_dir), probe)
@@ -74,7 +75,7 @@ def _check_fetch_equivalence(index_dir: str) -> int:
 
     store = SegmentStore(index_dir)
     _assert_same(store.fetch(probe + probe[::7]), ref, probe)
-    # the whole probe again: served from the per-term cache
+    # the whole probe again: served from the resident buckets
     _assert_same(store.fetch(probe), ref, probe)
 
     store = SegmentStore(index_dir)
@@ -86,7 +87,7 @@ def _check_fetch_equivalence(index_dir: str) -> int:
         got = store.fetch(call)
         _assert_same(got, {**ref, "zz_absent_x": None}, list(dict.fromkeys(call)))
 
-    store = SegmentStore(index_dir, cache_terms=1)
+    store = SegmentStore(index_dir)
     for _pass in range(2):
         for t in probe:
             _assert_same(store.fetch([t, t]), ref, [t])
@@ -300,7 +301,7 @@ def test_ranged_banned_store_from_resident_buckets(ranged_index, method):
         st = ex.store
         reads = st.bucket_reads
         assert reads == len(st._buckets) > 0
-        for c in (st._cache, st._scored, st._impact, st._posmap):
+        for c in (st._scored, st._impact, st._posmap):
             c.clear()
         st._scored_total = st._impact_total = st._posmap_total = 0
         second = ex(batch).to_pylist()
