@@ -394,10 +394,11 @@ def _assert_banned_serving(sf_dir: str) -> None:
     ``reference/dpr/indexer/faiss_indexers.py:107-112``'s exact-search
     contract): ban each query's rank-1 docid, re-run ALL THREE executor
     methods with the ban set, and assert each is bitwise-identical to the
-    unbanned deeper fetch minus the banned docids. The decode-filter
-    (executor.py SegmentStore/warm path) is the code most likely to drift
-    under executor changes; this keeps it inside the driver-checked entry
-    rather than only behind tests/test_tombstones.py."""
+    unbanned deeper fetch minus the banned docids. The decode filter
+    (executor.py ``SegmentStore.scored``, and ``bmw_topk``'s heap guard on
+    sparse ids) is the code most likely to drift under executor changes;
+    this keeps it inside a checked query entry rather than only behind
+    tests/test_tombstones.py."""
     from .query.executor import search_pipeline
 
     index_dir = ensure_index(sf_dir)

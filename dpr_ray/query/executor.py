@@ -24,9 +24,12 @@ Three exact, rank-identical scoring paths:
   instead (a df-1 id + head terms), else selective ascending-df rounds
   with exact searchsorted gathers and a remaining-upper-bound stop (~100x
   warm on rare+head queries with df_rare ≥ k, measured).
-- ``bmw``: document-at-a-time block-max WAND with a bounded min-heap —
-  skipped blocks are never even DECODED (posting blocks stream from
-  Parquet; conservative float32-rounded-up bounds).
+- ``bmw``: block-max pruning with conservative float32-rounded-up
+  bounds. On a dense index it is block-pruned TAAT over the scored
+  entries (``pruned_topk_dense``); on sparse ids it is document-at-a-time
+  block-max WAND with a bounded min-heap (``bmw_topk``), whose cursors
+  read blocks from the term's slice of the resident bucket table and
+  never decode a skipped block.
 
 All paths consume the per-posting (tf, dl) integers and recompute float64
 scores, so engine scores == oracle scores bitwise, not approximately.
@@ -57,49 +60,6 @@ from . import scorer
 import ray as _ray
 
 
-@_ray.remote
-def _decode_terms_task(index_dir: str, terms: list[str], banned=None) -> dict:
-    """Warmup task: decode + score a chunk of terms once; the returned
-    arrays live in the object store and every executor actor reads them
-    zero-copy (decode happens once per CLUSTER, not once per actor).
-    Head terms (df ≥ N/20) also ship their impact permutation and dense
-    position map — per-actor lexsorts of multi-million-posting lists were
-    the duplicated cold cost that capped query-side scaling.
-    ``banned``: tombstones applied INSIDE the warm decode, so tombstoned
-    serving keeps the once-per-cluster decode (measured 3.2× at 5M docs
-    when each actor instead re-decoded head terms cold)."""
-    store = SegmentStore(index_dir, banned_docids=banned)
-    out = {}
-    n = store.n_docs
-    for t in terms:
-        e = store.scored(t)
-        if e is None:
-            continue
-        perm = posmap = None
-        if store.dense_size and len(e[0]) * 20 >= n:
-            perm = store.impact(t)
-            posmap = store.posmap(t)
-        out[t] = (e, perm, posmap)
-    return out
-
-
-def warm_posting_refs(
-    index_dir: str, terms: list[str], chunks: int = 16, banned=None
-):
-    """Parallel decode of ``terms`` → list of ObjectRefs of {term: entry}.
-    Pass ``banned`` (array or ObjectRef) to pre-filter tombstoned docids
-    in the warm tasks; consumers must then set ``warm_prefiltered=True``."""
-    terms = sorted(set(terms))
-    if not terms:
-        return []
-    n = max(1, min(chunks, len(terms)))
-    per = (len(terms) + n - 1) // n
-    return [
-        _decode_terms_task.remote(index_dir, terms[i : i + per], banned)
-        for i in range(0, len(terms), per)
-    ]
-
-
 class SegmentStore:
     """Per-actor view of an index: stats + LRU-cached posting lists.
 
@@ -111,17 +71,16 @@ class SegmentStore:
       just read always stays. ``bucket_reads`` counts the scans.
     - decoded + pre-scored arrays per term: (docids, float64 contributions,
       upper bound) — contributions depend only on (tf, dl, df, N, avgdl),
-      all fixed for an index, so repeated terms across queries cost nothing
-      (optionally pre-warmed from broadcast ``warm_refs``: decode once per
-      cluster via warm_posting_refs; plasma numpy reads are zero-copy)
+      all fixed for an index, so repeated terms across queries cost nothing;
+      each actor fills it on first touch of a term
     - impact permutations per head term (``impact``)
     - dense docid → position maps per head term (``posmap``)
     """
 
     def __init__(self, index_dir: str,
-                 cache_postings: int | None = None, warm_refs=None,
+                 cache_postings: int | None = None,
                  docid_range: tuple[int, int] | None = None,
-                 banned_docids=None, warm_prefiltered: bool = False):
+                 banned_docids=None):
         # Query-time tombstones (the Lucene live-docs pattern): banned
         # docids are dropped at posting-DECODE time, so every method —
         # dense/sparse TAAT, MaxScore, both BMW variants — serves deletes
@@ -138,11 +97,6 @@ class SegmentStore:
             b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
             if len(b):
                 self.banned = b
-        if self.banned is not None and not warm_prefiltered:
-            # warm entries are unfiltered decodes UNLESS the producer ran
-            # warm_posting_refs(banned=...) with the SAME tombstone set
-            # (search_pipeline does; it sets warm_prefiltered)
-            warm_refs = None
         # Per-actor cache ceiling, overridable for large-corpus deployments
         # (env knob follows the DPR_BATCH_ACCUM_MB convention). Combined
         # worst-case per-actor footprint over the four layers ≈ scored
@@ -209,29 +163,6 @@ class SegmentStore:
         self._dense_ids: np.ndarray | None = None
         self._multi_buf: np.ndarray | None = None
         self._scratch: tuple | None = None
-        if self.docid_range is not None:
-            # warm entries are UNSHARDED absolute-docid decodes: a ranged
-            # store must decode (and window) its own postings — seeding
-            # them would serve out-of-range docs (sparse) or scatter
-            # absolute ids into the span-sized dense buffer (IndexError /
-            # silently wrong docids). Mirrors the banned-docids guard;
-            # search_pipeline already skips warm-up when sharded.
-            warm_refs = None
-        if warm_refs:
-            # shared pre-decoded postings (+ head-term impact perms and
-            # posmaps): ray.get is zero-copy for the numpy arrays inside
-            # (they stay in plasma, read-only)
-            for chunk in _ray.get(list(warm_refs)):
-                for t, (entry, perm, posmap) in chunk.items():
-                    if t not in self._scored:
-                        self._scored[t] = entry
-                        self._scored_total += len(entry[0])
-                    if perm is not None and t not in self._impact:
-                        self._impact[t] = perm
-                        self._impact_total += len(perm)
-                    if posmap is not None and t not in self._posmap:
-                        self._posmap[t] = posmap
-                        self._posmap_total += len(posmap)
 
     def dense_buffers(self):
         if self._dense_buf is None:
@@ -1148,6 +1079,18 @@ def bmw_topk(
     return docids, scores
 
 
+def _check_method(method: str) -> None:
+    if method not in ("taat", "maxscore", "bmw"):
+        # a typo ('MaxScore', 'max-score') would otherwise fall through
+        # every dispatch into the sparse BMW cursor path — rank-correct
+        # but silently skipping the scored cache and dense accumulator
+        # the caller meant to measure
+        raise ValueError(
+            f"unknown method {method!r}: expected 'taat', 'maxscore' "
+            "or 'bmw'"
+        )
+
+
 class QueryExecutor:
     """map_batches actor: (qid, question) rows → (qid, question, rank, docid,
     score) top-k rows. Segment fetch is batched across the queries of a batch
@@ -1158,27 +1101,15 @@ class QueryExecutor:
         index_dir: str,
         k: int = DEFAULT_TOP_K,
         method: str = "taat",
-        warm_refs=None,
         result_cache: int = 100_000,
         docid_range: tuple[int, int] | None = None,
         banned_docids=None,
-        warm_prefiltered: bool = False,
     ):
+        _check_method(method)
         self.store = SegmentStore(
-            index_dir, warm_refs=warm_refs,
-            docid_range=docid_range, banned_docids=banned_docids,
-            warm_prefiltered=warm_prefiltered,
+            index_dir, docid_range=docid_range, banned_docids=banned_docids,
         )
         self.k = k
-        if method not in ("taat", "maxscore", "bmw"):
-            # a typo ('MaxScore', 'max-score') would otherwise fall
-            # through every dispatch into the sparse BMW cursor path —
-            # rank-correct but silently skipping the scored cache, warm
-            # refs, and dense accumulator the caller meant to measure
-            raise ValueError(
-                f"unknown method {method!r}: expected 'taat', 'maxscore' "
-                "or 'bmw'"
-            )
         self.method = method
         s = self.store.stats
         self.n_docs = int(s["N"])
@@ -1309,40 +1240,44 @@ class QueryExecutor:
                         self._rcache[(kk, self.k)] = out
                         while len(self._rcache) > self._rcache_max:
                             self._rcache.popitem(last=False)
-        o_qid, o_q, o_rank, o_doc, o_score = [], [], [], [], []
-        for i, (qid, question) in enumerate(zip(qids, questions)):
-            docids, scores = results[i]
-            if (
-                self.store.docid_range is not None
-                and self.store.dense_size
-                and len(docids)
-            ):
-                # buffer-local ids back to absolute docids — FORCE uint64
-                # before the add: dense top-k paths return the entry's own
-                # dtype (int64 on single-entry/maxscore fast paths), and
-                # int64 + np.uint64(lo) stays int64 for lo < 2^63 (wraps
-                # to -2^63 when the absolute docid crosses 2^63) or
-                # promotes to float64 for lo >= 2^63 (collapses adjacent
-                # docids — the spacing at 2^63 is 2048). Buffer-local ids
-                # are small non-negatives, so the astype is exact.
-                docids = docids.astype(np.uint64) + np.uint64(
-                    self.store.docid_range[0]
-                )
-            n = len(docids)
-            o_qid.extend([qid] * n)
-            o_q.extend([question] * n)
-            o_rank.extend(range(1, n + 1))
-            o_doc.extend(docids.tolist())
-            o_score.extend(scores.tolist())
+        # one columnar table for the whole batch. Each query's docids are
+        # FORCED to uint64 before the concatenate: dense top-k paths return
+        # the entry's own dtype (int64 on single-entry/maxscore fast paths)
+        # and sparse ones uint64, and a mixed int64/uint64 concatenate
+        # promotes to float64 (collapses docids near 2^63). Dense ids are
+        # small non-negatives, so the astype is exact.
+        lens = [len(r[0]) for r in results]
+        docids = np.concatenate(
+            [np.empty(0, np.uint64)]
+            + [r[0].astype(np.uint64, copy=False) for r in results]
+        )
+        if self.store.docid_range is not None and self.store.dense_size:
+            # buffer-local ids back to absolute docids, added in uint64
+            # (int64 + np.uint64(lo) would wrap or promote to float64)
+            docids += np.uint64(self.store.docid_range[0])
+        scores = np.concatenate(
+            [np.empty(0, np.float64)]
+            + [r[1].astype(np.float64, copy=False) for r in results]
+        )
+        n = np.asarray(lens, np.int64)
+        rank = np.arange(1, len(docids) + 1) - np.repeat(np.cumsum(n) - n, n)
         return pa.table(
             {
-                "qid": pa.array(o_qid, pa.string()),
-                "question": pa.array(o_q, pa.string()),
-                "rank": pa.array(o_rank, pa.int32()),
-                "docid": pa.array(o_doc, pa.uint64()),
-                "score": pa.array(o_score, pa.float64()),
+                "qid": _per_row(qids, lens),
+                "question": _per_row(questions, lens),
+                "rank": pa.array(rank.astype(np.int32), pa.int32()),
+                "docid": pa.array(docids, pa.uint64()),
+                "score": pa.array(scores, pa.float64()),
             }
         )
+
+
+def _per_row(values: list, lens: list[int]) -> pa.Array:
+    """String column holding ``values[i]`` ``lens[i]`` times in a row.
+    Repeating the Python references costs less than an Arrow ``take`` on
+    the one-query batches of serial serving (~30 µs a call there)."""
+    rows = itertools.chain.from_iterable(map(itertools.repeat, values, lens))
+    return pa.array(list(rows), pa.string())
 
 
 class DocJoin:
@@ -1533,26 +1468,45 @@ def doc_join_copartitioned(results_ds, index_dir: str, columns=None):
     )
 
 
+# CPUs the query pools' minimums leave free: one for upstream tasks (the
+# queries' read or repartition shuffle, the sharded per-qid merge) and one
+# each for the minimum actor of the downstream pools a serving call may
+# chain on (DocJoin, retrieve_and_evaluate's AttachHasAnswer).
+_CPUS_LEFT_BY_QUERY_POOLS = 3
+
+
 def _shard_concurrency(caller, total_cpus: int, doc_shards: int):
-    """Per-shard-pool (min, max) actor bounds for sharded serving.
+    """(min, max) actor bounds for each of the ``doc_shards`` query pools
+    (one pool when unsharded) — the one sizing rule for every
+    ``search_pipeline`` call.
+
+    Default: an autoscaling pool from 1 up to the bandwidth cap
+    ``min(total-1, max(8, total//2))``, split across the shards. Dense
+    scoring is memory-bandwidth-bound — measured 892 QPS at 16 actors vs
+    834 at 31 on a 32-CPU node (500k docs) — so actors past half the
+    node only add spawn cost. (Per NODE: on a multi-node cluster each
+    node brings its own memory bus.)
 
     ``caller`` (the ``search_pipeline(concurrency=...)`` value) applies to
-    EACH shard pool, but its MINIMUM is clamped so the S pools' summed
-    minimums stay below the cluster's CPUs: the per-shard pools feed a
-    ``groupby(qid)`` top-k merge in the SAME streaming execution, and pool
-    minimums that hold every CPU starve that shuffle — a real measured
-    deadlock (CLAUDE.md, actor pool after a shuffle at 4 CPUs). Pool
-    MAXIMUMS are autoscaling demand, not held reservations, so the
-    caller's max passes through."""
-    cap = max(1, (total_cpus - 1) // doc_shards)
+    EACH pool, but its MINIMUM is clamped so the pools' summed minimums
+    leave ``_CPUS_LEFT_BY_QUERY_POOLS`` CPUs free: pool minimums are held
+    reservations, and minimums that hold every CPU starve the upstream
+    shuffle or the downstream pools of the same streaming execution — a
+    real measured deadlock (an actor pool after a shuffle at 4 CPUs;
+    ``search_pipeline(with_docs=True)`` over a repartitioned query set
+    with a ``(3, 3)`` pool at 4 CPUs never finished). Pool MAXIMUMS are
+    autoscaling demand, not held reservations, so the caller's max passes
+    through."""
+    bandwidth_cap = max(1, min(total_cpus - 1, max(8, total_cpus // 2)))
     if caller is None:
-        return (1, cap)
+        return (1, max(1, bandwidth_cap // doc_shards))
+    cap = max(1, (total_cpus - _CPUS_LEFT_BY_QUERY_POOLS) // doc_shards)
     cmin, cmax = (caller, caller) if isinstance(caller, int) else caller
     if cmin > cap:
         log.warning(
-            "doc_shards=%d pools with min concurrency %d would reserve "
-            "%d CPUs of %d and starve the top-k merge shuffle — clamping "
-            "each pool's minimum to %d",
+            "%d query pool(s) with min concurrency %d would reserve %d CPUs "
+            "of %d and starve the stages around them — clamping each "
+            "pool's minimum to %d",
             doc_shards, cmin, cmin * doc_shards, total_cpus, cap,
         )
         cmin = cap
@@ -1567,9 +1521,6 @@ def search_pipeline(
     concurrency=None,
     with_docs: bool = False,
     doc_columns: list[str] | None = None,
-    warm: bool = True,
-    max_warm_queries: int = 1_000_000,
-    dedup_queries: bool = False,
     doc_shards: int | None = None,
     doc_join_mode: str = "probe",
     banned_docids=None,
@@ -1577,29 +1528,26 @@ def search_pipeline(
     """queries Dataset (qid, question) → top-k result Dataset
     (qid, question, rank, docid, score [, doc columns]).
 
-    ``warm=True``: the query set's distinct terms are decoded+scored ONCE in
-    parallel tasks and broadcast (object-store refs, zero-copy) to every
-    executor actor — per-actor warmup otherwise repeats the decode per
-    actor. Skipped when the query set is too large to scan up front, and
-    under ``doc_shards`` (warm entries are unsharded decodes a ranged
-    shard can't use).
+    One streaming execution: ``map_batches(QueryExecutor)`` (per shard,
+    see below), then the optional doc join. Every executor actor decodes
+    and scores each term on its first touch and keeps it in its scored
+    LRU. ``concurrency`` sizes each query pool; ``_shard_concurrency``
+    holds the one rule (default: autoscaling from 1 to the bandwidth cap).
 
-    ``dedup_queries=True``: queries are grouped by their distinct-term-set
-    SIGNATURE before scoring — scores depend only on the term set, so each
-    distinct set is scored ONCE and results fan back out to every qid via a
-    signature-keyed shuffle join. Exact: identical per-qid output. Off by
-    default: the two extra shuffles only pay off when the workload's
-    duplicate rate is high AND per-query scoring is expensive (measured a
-    net LOSS at a 10k-query/35%-dup mix — the per-actor result LRU already
-    absorbs within-actor repeats).
+    Known cost of serving without a cluster-wide warm-up: there is no
+    decode-once-per-cluster broadcast of scored entries and head-term
+    impact permutations any more, so each actor pays its own first decode
+    and lexsort of a head term. The removed broadcast was credited with
+    84.4 → 63.2 s on 1.5M docs at 32 CPUs (BASELINE round 2) and 3.2× on
+    5M-doc tombstoned serving; no benchmark workload reaches that size,
+    and it was not re-measured there. At the benchmark's 10k-doc size the
+    warm-up pass lost on both serving workloads.
 
     ``banned_docids``: query-time tombstones (Lucene live-docs pattern) —
     one ``ray.put`` broadcast; banned docs vanish from results of every
     method with pruning still exact (filtered at posting decode; bounds
     bound a superset). Serves deletes IMMEDIATELY between upsert merges;
-    collection stats stay index-time until the merge, as in Lucene. The
-    warm decode broadcast applies the same filter inside its tasks, so
-    tombstoned serving keeps the once-per-cluster decode.
+    collection stats stay index-time until the merge, as in Lucene.
 
     ``doc_shards=S``: doc-sharded execution for corpora whose hot posting
     lists exceed a worker's heap — S executor pools each own a docid RANGE
@@ -1607,9 +1555,13 @@ def search_pipeline(
     term); per-shard top-k merge by qid with the exact (-score, docid)
     order. Bitwise-identical to the unsharded path (a doc's postings live
     in exactly one shard, so per-doc float summation is unchanged);
-    identity test-gated. ``concurrency`` applies to EACH shard pool; pool
-    minimums are clamped so their sum leaves CPUs for the per-qid top-k
-    merge shuffle running in the same execution (``_shard_concurrency``)."""
+    identity test-gated."""
+    _check_method(method)
+    if doc_join_mode not in ("probe", "copartition"):
+        raise ValueError(
+            f"unknown doc_join_mode {doc_join_mode!r}: expected 'probe' "
+            "or 'copartition'"
+        )
     from .._shipping import ensure_shippable
 
     ensure_shippable()
@@ -1621,94 +1573,21 @@ def search_pipeline(
         b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
         if len(b):
             banned_ref = ray.put(b)  # one put; zero-copy read per actor
-    warm_refs = None
-    n_queries = None
-    if doc_join_mode not in ("probe", "copartition"):
-        raise ValueError(
-            f"unknown doc_join_mode {doc_join_mode!r}: expected 'probe' "
-            "or 'copartition'"
-        )
-    sharded = bool(doc_shards and doc_shards > 1)
-    if sharded and dedup_queries:
-        # silently dropping an explicitly requested optimization is worse
-        # than refusing: the two strategies don't compose yet (the dedup
-        # fan-out assumes ONE scoring pool's results per signature)
-        raise ValueError(
-            "dedup_queries is not supported with doc_shards > 1 — "
-            "dedup the query log upstream or serve unsharded"
-        )
-    caller_concurrency = concurrency
-    stats = seg.read_stats(index_dir)
-    # sharded pools can't consume warm refs (warm entries are UNSHARDED
-    # decodes; each shard must decode only blocks intersecting its range)
-    # — skip the warm-up entirely rather than paying the cluster-wide
-    # decode + a Dataset execution and then dropping the refs per shard.
-    # Warm helps every method that consumes scored-cache entries: taat,
-    # maxscore, and BMW over a DENSE index (pruned_topk_dense); sparse
-    # BMW cursors raw rows and never touches the scored LRU.
-    # same condition as SegmentStore's unranged dense-mode switch
-    # (max_docid < 2^23 → dense_size = max_docid + 1): warming a
-    # sparse-BMW pool would pay a decode the scorer never reads
-    dense_index = int(stats.get("max_docid", 1 << 62)) < (1 << 23)
-    warm_methods = ("taat", "maxscore", "bmw") if dense_index else (
-        "taat", "maxscore"
-    )
-    if warm and not sharded and method in warm_methods:
-        try:
-            # distributed distinct-terms pass: each block reduces to ONE
-            # row (its unique term list + row count), so the driver pulls
-            # per-block term summaries — never the question strings
-            # themselves (at a 100×-scale query log the old
-            # limit().to_pandas() was the one driver materialization in a
-            # hot pipeline). The term union must reach the driver anyway:
-            # warm_posting_refs takes the term list.
-            tokenize_batch = analyzer.tokenize_batch
-
-            def _warm_summary(batch: pa.Table) -> pa.Table:
-                toks = tokenize_batch(batch["question"].to_pylist())
-                uniq = sorted({t for ts in toks for t in ts})
-                return pa.table(
-                    {
-                        "terms": pa.array([uniq], pa.list_(pa.string())),
-                        "n": pa.array([batch.num_rows], pa.int64()),
-                    }
-                )
-
-            summ = (
-                queries_ds.limit(max_warm_queries)
-                .select_columns(["question"])
-                .map_batches(_warm_summary, batch_format="pyarrow")
-                .take_all()
-            )
-            n_queries = sum(int(r["n"]) for r in summ)
-            terms = sorted({t for r in summ for t in r["terms"]})
-            # tombstones are applied INSIDE the warm tasks, keeping the
-            # once-per-cluster decode under banned serving (3.2× at 5M)
-            warm_refs = warm_posting_refs(
-                index_dir, terms, chunks=total, banned=banned_ref
-            )
-        except Exception as e:
-            log.warning("warm-up failed, serving unwarmed: %r", e)
-            warm_refs = None
-    if concurrency is None:
-        # fixed-size pool, started upfront: scoring is the stage's CPU
-        # bound; an autoscaling pool ramps too slowly for short bursts.
-        # Capped at half the node's CPUs: dense-accumulator scoring is
-        # memory-bandwidth-bound — measured 892 QPS at 16 actors vs 834 at
-        # 31 on a 32-CPU node (500k docs); beyond saturation extra actors
-        # only add spawn cost. (Per NODE — on a multi-node cluster each
-        # node brings its own memory bus, so the cap scales with nodes.)
-        n = max(1, min(total - 1, max(8, total // 2)))
-        lo = n
-        if n_queries is not None:
-            lo = max(1, min(n, (n_queries + 255) // 256))
-        concurrency = (lo, n)
+    shards = doc_shards if doc_shards and doc_shards > 1 else 1
     exec_kwargs = {
         "index_dir": index_dir, "k": k, "method": method,
-        "warm_refs": warm_refs, "banned_docids": banned_ref,
-        "warm_prefiltered": banned_ref is not None,
+        "banned_docids": banned_ref,
     }
-    if sharded:
+    pool = _shard_concurrency(concurrency, total, shards)
+    if shards == 1:
+        res = queries_ds.map_batches(
+            QueryExecutor,
+            fn_constructor_kwargs=exec_kwargs,
+            batch_format="pyarrow",
+            concurrency=pool,
+        )
+    else:
+        stats = seg.read_stats(index_dir)
         if "max_docid" not in stats:
             # defaulting to 0 would make every shard an empty window and
             # silently serve (near-)nothing; a hand-built/corrupt index
@@ -1722,12 +1601,9 @@ def search_pipeline(
         span = int(stats["max_docid"]) + 1
         # integer edge math: hash64 docids approach 2^63, where float64
         # linspace loses exactness (and int64 casts can overflow)
-        edges = [span * s // doc_shards for s in range(doc_shards + 1)]
-        shard_conc = _shard_concurrency(
-            caller_concurrency, total, doc_shards
-        )
+        edges = [span * s // shards for s in range(shards + 1)]
         shard_res = []
-        for s in range(doc_shards):
+        for s in range(shards):
             kw = dict(exec_kwargs)
             kw["docid_range"] = (edges[s], edges[s + 1])
             shard_res.append(
@@ -1735,7 +1611,7 @@ def search_pipeline(
                     QueryExecutor,
                     fn_constructor_kwargs=kw,
                     batch_format="pyarrow",
-                    concurrency=shard_conc,
+                    concurrency=pool,
                 )
             )
         res = shard_res[0]
@@ -1761,104 +1637,6 @@ def search_pipeline(
             )
 
         res = res.groupby("qid").map_groups(merge_topk, batch_format="pyarrow")
-    elif dedup_queries:
-        def add_sig(batch: pa.Table) -> pa.Table:
-            toks = analyzer.tokenize_batch(batch["question"].to_pylist())
-            sigs = [" ".join(sorted(set(t))) for t in toks]
-            return batch.append_column("qsig", pa.array(sigs, pa.string()))
-
-        qs = queries_ds.map_batches(add_sig, batch_format="pyarrow")
-        uniq = (
-            qs.groupby("qsig")
-            .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
-            .select_columns(["qsig", "question"])
-            .map_batches(
-                lambda b: pa.table(
-                    {"qid": b["qsig"], "question": b["question"]}
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        # materialize the unique-signature results (distinct sigs × k rows —
-        # small): this splits the scoring pool and the fan-out shuffle into
-        # separate executions. In ONE execution the idle-but-reserved query
-        # actors starve the downstream sort's task slots on small CPU
-        # budgets (observed deadlock at 4 CPUs).
-        res_u = uniq.map_batches(
-            QueryExecutor,
-            fn_constructor_kwargs=exec_kwargs,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        ).materialize()
-        # fan results back out: one shuffle co-locating each signature's
-        # result rows with its query rows (no driver-side materialization)
-        r_tag = res_u.map_batches(
-            lambda b: pa.table(
-                {
-                    "qsig": b["qid"],
-                    "qid": pa.nulls(b.num_rows, pa.string()),
-                    "question": pa.nulls(b.num_rows, pa.string()),
-                    "rank": b["rank"],
-                    "docid": b["docid"],
-                    "score": b["score"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        q_tag = qs.map_batches(
-            lambda b: pa.table(
-                {
-                    "qsig": b["qsig"],
-                    "qid": b["qid"],
-                    "question": b["question"],
-                    "rank": pa.nulls(b.num_rows, pa.int32()),
-                    "docid": pa.nulls(b.num_rows, pa.uint64()),
-                    "score": pa.nulls(b.num_rows, pa.float64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-
-        def fan_out(group: pa.Table) -> pa.Table:
-            is_res = group["rank"].is_valid()
-            res_rows = group.filter(is_res)
-            q_rows = group.filter(pc.invert(is_res))
-            if res_rows.num_rows == 0 or q_rows.num_rows == 0:
-                return pa.table(
-                    {
-                        "qid": pa.array([], pa.string()),
-                        "question": pa.array([], pa.string()),
-                        "rank": pa.array([], pa.int32()),
-                        "docid": pa.array([], pa.uint64()),
-                        "score": pa.array([], pa.float64()),
-                    }
-                )
-            nq = q_rows.num_rows
-            nr = res_rows.num_rows
-            rep = pa.array(np.repeat(np.arange(nq), nr), pa.int64())
-            til = pa.array(np.tile(np.arange(nr), nq), pa.int64())
-            return pa.table(
-                {
-                    "qid": q_rows["qid"].take(rep),
-                    "question": q_rows["question"].take(rep),
-                    "rank": res_rows["rank"].take(til),
-                    "docid": res_rows["docid"].take(til),
-                    "score": res_rows["score"].take(til),
-                }
-            )
-
-        res = (
-            r_tag.union(q_tag)
-            .groupby("qsig")
-            .map_groups(fan_out, batch_format="pyarrow")
-        )
-    else:
-        res = queries_ds.map_batches(
-            QueryExecutor,
-            fn_constructor_kwargs=exec_kwargs,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
     if with_docs:
         if doc_join_mode == "copartition":
             res = doc_join_copartitioned(res, index_dir, columns=doc_columns)

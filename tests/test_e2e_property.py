@@ -283,8 +283,7 @@ def test_e2e_degenerate_corpus(ray_session, tmp_path):
 def test_null_question_serves_empty(ray_session, tmp_path):
     """A parquet NULL question must yield zero result rows for that qid
     while the other questions in the same batch stay bitwise-exact — both
-    at the QueryExecutor level and through search_pipeline's
-    dedup_queries fan-out (nulls share the empty token signature)."""
+    at the QueryExecutor level and through search_pipeline."""
     import ray.data
 
     from dpr_ray.query.executor import search_pipeline
@@ -317,15 +316,11 @@ def test_null_question_serves_empty(ray_session, tmp_path):
         out = QueryExecutor(d, k=5, method=method)(qb).to_pylist()
         assert [(r["docid"], r["score"]) for r in out] == want
         assert {r["qid"] for r in out} == {"q0"}
-    for dedup in (False, True):
-        res = search_pipeline(
-            ray.data.from_arrow(qb), d, k=5, method="bmw",
-            dedup_queries=dedup, concurrency=(1, 2),
-        ).to_pandas().sort_values("rank")
-        assert set(res["qid"]) == {"q0"}
-        assert (
-            list(zip(res["docid"].astype("uint64"), res["score"])) == want
-        )
+    res = search_pipeline(
+        ray.data.from_arrow(qb), d, k=5, method="bmw", concurrency=(1, 2),
+    ).to_pandas().sort_values("rank")
+    assert set(res["qid"]) == {"q0"}
+    assert list(zip(res["docid"].astype("uint64"), res["score"])) == want
 
 
 def test_build_rejects_null_corpus_rows(ray_session, tmp_path):

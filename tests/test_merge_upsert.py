@@ -1023,7 +1023,9 @@ def test_executor_rejects_unknown_method_and_join_mode(
     """Typos must be loud: an unknown method silently fell through to the
     sparse BMW cursor path (rank-correct, so a 'maxscore' benchmark
     measured WAND with no error); an unknown doc_join_mode silently used
-    the probe path the caller opted out of."""
+    the probe path the caller opted out of. search_pipeline refuses an
+    unknown method at call time, before it builds any Dataset (it used
+    to surface only from an actor constructor during execution)."""
     import ray.data
 
     from dpr_ray.query.executor import QueryExecutor, search_pipeline
@@ -1038,6 +1040,8 @@ def test_executor_rejects_unknown_method_and_join_mode(
     )
     with pytest.raises(ValueError, match="doc_join_mode"):
         search_pipeline(qb, d, with_docs=True, doc_join_mode="co-partition")
+    with pytest.raises(ValueError, match="unknown method"):
+        search_pipeline(qb, d, method="MaxScore")
 
 
 def _merge_groups(index_dirs, with_rank):

@@ -111,6 +111,42 @@ def test_search_pipeline_with_docs(setup):
     assert got0 == [d for d, _s in oracle.top_k("rare_tok_7", 5)]
 
 
+@pytest.mark.parametrize("setup_name,method", [
+    ("setup_dense", "maxscore"), ("setup", "bmw"),
+])
+def test_search_pipeline_with_docs_repartitioned_finishes(
+    setup_name, method, request, ray_session
+):
+    """with_docs=True over a repartitioned query set at the session's 4
+    CPUs: the query pool's minimum must leave CPUs for the repartition
+    shuffle and the DocJoin pool of the same execution. A (3, 3) query
+    pool held 3 of the 4 and the call never finished."""
+    import pyarrow as pa
+    import ray.data
+    from collections import Counter
+
+    from dpr_ray import analyzer
+    from test_curation import _take_all_within
+
+    index_dir, oracle = request.getfixturevalue(setup_name)
+    qs = [q for q in QUERIES if q] * 4
+    qds = ray.data.from_arrow(
+        pa.table({"qid": [f"q{i}" for i in range(len(qs))], "question": qs})
+    ).repartition(8)
+    rows = _take_all_within(search_pipeline(
+        qds, index_dir, k=10, method=method, with_docs=True,
+        doc_columns=["content"],
+    ))
+    got: dict[str, list] = {}
+    for r in sorted(rows, key=lambda r: (r["qid"], r["rank"])):
+        got.setdefault(r["qid"], []).append((r["docid"], r["score"]))
+        # the joined document is the scored one
+        at = int(np.searchsorted(oracle.docids, np.uint64(r["docid"])))
+        assert Counter(analyzer.tokenize(r["content"])) == oracle.counters[at]
+    for i, q in enumerate(qs):
+        assert got.get(f"q{i}", []) == oracle.top_k(q, 10), (method, q)
+
+
 def test_doc_join_copartitioned_matches_probe(setup):
     """The range-co-partitioned doc join must produce IDENTICAL joined
     content to the per-batch probe DocJoin, on hash64 docids (near 2^63 —
@@ -310,36 +346,6 @@ def test_planned_route_bitwise(setup_dense, monkeypatch, mode):
     assert ex.routes["result_cache"] == len(PLANNED)
 
 
-def test_warm_failure_logs_and_serves_unwarmed(setup_dense, ray_session,
-                                               monkeypatch, caplog):
-    """A failing warm-up is logged by name and serving goes on unwarmed,
-    with the same results as warm=False."""
-    import ray.data
-
-    index_dir, _oracle = setup_dense
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("warm boom")
-
-    rows = [{"qid": f"q{i}", "question": q} for i, q in enumerate(QUERIES)]
-
-    def run(warm):
-        qds = ray.data.from_items(rows).repartition(2)
-        df = search_pipeline(qds, index_dir, k=7, method="maxscore",
-                             warm=warm).to_pandas()
-        return df.sort_values(["qid", "rank"]).reset_index(drop=True)[
-            ["qid", "rank", "docid", "score"]
-        ]
-
-    want = run(False)
-    monkeypatch.setattr(qe, "warm_posting_refs", boom)
-    with caplog.at_level("WARNING", logger="dpr_ray.query.executor"):
-        got = run(True)
-    assert any("warm-up failed" in r.getMessage()
-               and "warm boom" in r.getMessage() for r in caplog.records)
-    assert got.equals(want)
-
-
 @pytest.fixture(scope="module")
 def setup_dense(ray_session, tmp_path_factory):
     """Same corpus with PROVIDED dense docids — exercises the dense
@@ -391,33 +397,6 @@ def test_dense_paths_bitwise_identical(setup_dense, method):
             assert r["rank"] == rank
             assert r["docid"] == edoc, (method, q, rank)
             assert r["score"] == escore, (method, q, rank)  # bitwise
-
-
-def test_dedup_queries_identical(setup_dense, ray_session):
-    """search_pipeline(dedup_queries=True) must emit the identical per-qid
-    result set as the direct path (signature-keyed fan-out is exact)."""
-    import pyarrow as pa
-    import ray.data
-
-    index_dir, _oracle = setup_dense
-    from dpr_ray.query.executor import search_pipeline
-
-    rows = [
-        {"qid": f"q{i}", "question": q}
-        for i, q in enumerate(QUERIES * 3)  # duplicates across qids
-    ]
-
-    def run(dedup):
-        qds = ray.data.from_items(rows).repartition(4)
-        df = search_pipeline(
-            index_dir=index_dir, queries_ds=qds, k=7, dedup_queries=dedup
-        ).to_pandas()
-        return df.sort_values(["qid", "rank"]).reset_index(drop=True)[
-            ["qid", "rank", "docid", "score"]
-        ]
-
-    a, b = run(False), run(True)
-    assert a.equals(b)
 
 
 @pytest.mark.parametrize("setup_name", ["setup_dense", "setup"])
@@ -672,45 +651,9 @@ def test_doc_shards_past_corpus_size(ray_session, tmp_path):
     assert got == oracle.top_k(q, 3)
 
 
-def test_warm_refs_dropped_under_docid_range(setup_dense):
-    """warm entries are UNSHARDED absolute-docid decodes: a ranged store
-    must drop them (mirror of the banned-docids guard). Pre-fix, a dense
-    ranged store scattered absolute warm docids into its span-sized
-    buffer (IndexError past the span, silently wrong docids inside it),
-    and a sparse ranged store served full-corpus results. warm_refs +
-    docid_range must equal the cold ranged executor bitwise."""
-    import pyarrow as pa
-
-    from dpr_ray import analyzer
-
-    index_dir, _oracle = setup_dense
-    terms = sorted({t for q in QUERIES for t in analyzer.tokenize(q)})
-    refs = qe.warm_posting_refs(index_dir, terms, chunks=2)
-    batch = pa.table(
-        {
-            "qid": pa.array([f"q{i}" for i in range(len(QUERIES))]),
-            "question": pa.array(QUERIES),
-        }
-    )
-    # lo > 0 windows: absolute warm ids would mis-rebase (dense) or
-    # escape the window (sparse BMW)
-    for method in ("taat", "maxscore", "bmw"):
-        for rng in [(N_DOCS // 3, N_DOCS), (10, 40), (0, N_DOCS // 2)]:
-            cold = qe.QueryExecutor(
-                index_dir, k=10, method=method, docid_range=rng
-            )(batch).to_pylist()
-            warm = qe.QueryExecutor(
-                index_dir, k=10, method=method, docid_range=rng,
-                warm_refs=refs,
-            )(batch).to_pylist()
-            assert warm == cold, (method, rng)
-
-
 def test_search_pipeline_sharded_validation(setup, ray_session, tmp_path):
-    """doc_shards composition guards: dedup_queries doesn't compose with
-    sharding (refuse loudly, never silently drop the requested dedup);
-    a stats.json missing max_docid must refuse sharding (defaulting to 0
-    made every shard a near-empty window — silent wrong results)."""
+    """A stats.json missing max_docid must refuse sharding (defaulting to
+    0 made every shard a near-empty window — silent wrong results)."""
     import json
     import os
     import shutil
@@ -723,8 +666,6 @@ def test_search_pipeline_sharded_validation(setup, ray_session, tmp_path):
     qds = ray.data.from_arrow(
         pa.table({"qid": ["a"], "question": ["def return"]})
     )
-    with _pytest.raises(ValueError, match="dedup_queries"):
-        qe.search_pipeline(qds, index_dir, doc_shards=2, dedup_queries=True)
     d2 = str(tmp_path / "no_maxdocid")
     shutil.copytree(index_dir, d2)
     with open(os.path.join(d2, "stats.json")) as f:
@@ -737,21 +678,29 @@ def test_search_pipeline_sharded_validation(setup, ray_session, tmp_path):
 
 
 def test_shard_concurrency_clamps_minimums():
-    """Caller concurrency applies per shard pool, but pool MINIMUMS must
-    not sum to (or past) the cluster's CPUs: the shard pools feed the
-    per-qid top-k merge shuffle in the same streaming execution, and held
-    minimums starve it (the measured actor-pool-after-shuffle deadlock).
-    Maximums are autoscaling demand and pass through."""
+    """One sizing rule for every query pool, sharded or not. Caller
+    concurrency applies per pool, but pool MINIMUMS must leave CPUs for
+    the stages around them: upstream tasks (the queries' shuffle, the
+    per-qid top-k merge) and the minimums of the downstream DocJoin and
+    AttachHasAnswer pools in the same streaming execution — held
+    minimums starve them (the measured actor-pool-after-shuffle
+    deadlock). Maximums are autoscaling demand and pass through."""
     from dpr_ray.query.executor import _shard_concurrency
 
-    # default: 1 .. (total-1)//shards
-    assert _shard_concurrency(None, 16, 4) == (1, 3)
+    # default: 1 .. min(total-1, max(8, total//2)) // shards
+    assert _shard_concurrency(None, 4, 1) == (1, 3)
+    assert _shard_concurrency(None, 32, 1) == (1, 16)
+    assert _shard_concurrency(None, 2, 1) == (1, 1)
+    assert _shard_concurrency(None, 16, 4) == (1, 2)
     assert _shard_concurrency(None, 4, 2) == (1, 1)
     # explicit tuple within budget: untouched
     assert _shard_concurrency((1, 2), 4, 2) == (1, 2)
     assert _shard_concurrency((2, 8), 16, 4) == (2, 8)
+    assert _shard_concurrency((4, 4), 16, 1) == (4, 4)
     # min over budget: clamped, max preserved
     assert _shard_concurrency((8, 8), 16, 4) == (3, 8)
+    assert _shard_concurrency((3, 3), 4, 1) == (1, 3)
+    assert _shard_concurrency((16, 16), 16, 1) == (13, 16)
     # int = fixed pool: min clamped, original size stays the max
     assert _shard_concurrency(8, 16, 4) == (3, 8)
     # degenerate tiny cluster: min never below 1

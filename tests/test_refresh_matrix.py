@@ -2,7 +2,7 @@
 produced by an upsert merge (updates + adds + merge-time tombstones) is
 then served under every query-time dimension at once — banned_docids ×
 method × k × result-cache × duplicate queries (hypothesis), and
-warm × doc_shards × method × bans (deterministic combos) — each draw
+doc_shards × method × bans (deterministic combos) — each draw
 compared bitwise to the brute-force oracle over the latest corpus minus
 the banned docs. Extends the pairwise gates in tests/test_tombstones.py
 and tests/test_merge_upsert.py to the combination lattice (round-4
@@ -142,9 +142,9 @@ def test_refresh_matrix_hypothesis(refresh_index):
 
 
 def test_refresh_pipeline_warm_shards_banned(refresh_index):
-    """search_pipeline over the merged index: warm × doc_shards × method
-    with a rank-shifting banned set — the triple compose (warm broadcast
-    prefilter + shard range mask + tombstone decode filter) vs oracle."""
+    """search_pipeline over the merged index: doc_shards × method with a
+    rank-shifting banned set — shard range mask + tombstone decode filter
+    composed, vs oracle."""
     import ray.data
 
     from dpr_ray.query.executor import search_pipeline
@@ -167,47 +167,21 @@ def test_refresh_pipeline_warm_shards_banned(refresh_index):
             "question": QUESTIONS,
         }
     )
-    for warm in (True, False):
-        for shards in (None, 2):
-            for method in ("taat", "bmw"):
-                res = search_pipeline(
-                    ray.data.from_arrow(qb), dm, k=8, method=method,
-                    warm=warm, doc_shards=shards, banned_docids=banned,
-                    concurrency=(1, 2),
-                ).to_pandas().sort_values(["qid", "rank"])
-                got: dict[str, list] = {q: [] for q in QUESTIONS}
-                for _, r in res.iterrows():
-                    got[r["question"]].append(
-                        (int(r["docid"]), float(r["score"]))
-                    )
-                for q in QUESTIONS:
-                    want = _oracle_topk_banned(oracle, q, 8, banned)
-                    assert got[q] == want, (warm, shards, method, q)
-
-    # dedup_queries × bans (dedup shares exec_kwargs, so the scored-once
-    # signature results must already be tombstone-filtered before the
-    # fan-out shuffle replicates them to duplicate qids)
-    qs_dup = QUESTIONS * 2
-    qb_dup = pa.table(
-        {
-            "qid": [f"q{i}" for i in range(len(qs_dup))],
-            "question": qs_dup,
-        }
-    )
-    for method in ("taat", "bmw"):
-        res = search_pipeline(
-            ray.data.from_arrow(qb_dup), dm, k=8, method=method,
-            dedup_queries=True, banned_docids=banned, concurrency=(1, 2),
-        ).to_pandas().sort_values(["qid", "rank"])
-        for i, q in enumerate(qs_dup):
-            sub = res[res["qid"] == f"q{i}"]
-            got_q = [
-                (int(r["docid"]), float(r["score"]))
-                for _, r in sub.iterrows()
-            ]
-            assert got_q == _oracle_topk_banned(oracle, q, 8, banned), (
-                "dedup", method, i,
-            )
+    for shards in (None, 2):
+        for method in ("taat", "bmw"):
+            res = search_pipeline(
+                ray.data.from_arrow(qb), dm, k=8, method=method,
+                doc_shards=shards, banned_docids=banned,
+                concurrency=(1, 2),
+            ).to_pandas().sort_values(["qid", "rank"])
+            got: dict[str, list] = {q: [] for q in QUESTIONS}
+            for _, r in res.iterrows():
+                got[r["question"]].append(
+                    (int(r["docid"]), float(r["score"]))
+                )
+            for q in QUESTIONS:
+                want = _oracle_topk_banned(oracle, q, 8, banned)
+                assert got[q] == want, (shards, method, q)
 
 
 def test_refresh_shard_rcache_banned(refresh_index):
@@ -506,18 +480,11 @@ def test_refresh_starved_caches(refresh_index, monkeypatch):
 
 
 def test_refresh_warm_evicted_redecode(refresh_index, monkeypatch):
-    """warm × starved-cache × bans: warm entries enter the scored LRU at
-    init and the eviction loop only fires on INSERTION — so warming a
-    SUBSET of the workload's terms under a tiny DPR_CACHE_POSTINGS budget
-    makes the cold terms' insertions evict the warm entries, and the next
-    pass RE-DECODES the formerly-warm terms cold through the banned
-    filter. Re-decoded entries must reproduce the prefiltered warm
-    results bitwise."""
-    import ray
-
-    from dpr_ray import analyzer
-    from dpr_ray.query.executor import warm_posting_refs
-
+    """starved-cache × bans, two cold passes: under a DPR_CACHE_POSTINGS=1
+    budget, pass 1's later terms evict the entries its earlier terms
+    decoded, so pass 2 RE-DECODES those formerly-warm terms cold through
+    the banned filter. Both passes must equal the oracle minus the
+    banned docs bitwise."""
     dm, docids, oracle = refresh_index
     monkeypatch.setenv("DPR_CACHE_POSTINGS", "1")
     k = 5
@@ -532,11 +499,6 @@ def test_refresh_warm_evicted_redecode(refresh_index, monkeypatch):
             ]
         )
     )
-    banned_ref = ray.put(banned)
-    warm_terms = sorted(
-        {t for toks in analyzer.tokenize_batch(QUESTIONS[:2]) for t in toks}
-    )
-    refs = warm_posting_refs(dm, warm_terms, chunks=2, banned=banned_ref)
     qb = pa.table(
         {
             "qid": [f"q{i}" for i in range(len(QUESTIONS))],
@@ -545,22 +507,18 @@ def test_refresh_warm_evicted_redecode(refresh_index, monkeypatch):
     )
     for method in ("taat", "maxscore", "bmw"):
         ex = QueryExecutor(
-            dm, k=k, method=method, warm_refs=refs, banned_docids=banned,
-            warm_prefiltered=True, result_cache=0,
+            dm, k=k, method=method, banned_docids=banned, result_cache=0,
         )
-        present = [t for t in warm_terms if t in ex.store._scored]
-        assert present, "warm set must pre-populate the scored LRU"
         for _pass in range(2):
             got: dict[str, list] = {q: [] for q in QUESTIONS}
             for r in ex(qb).to_pylist():
                 got[r["question"]].append((r["docid"], r["score"]))
             if _pass == 0 and method != "bmw":
-                # cold-term insertions under budget 1 must have evicted
-                # warm entries — pass 2 re-decodes them cold. (Sparse BMW
-                # never touches the scored LRU: it cursors over raw
-                # segment rows, so warm entries just sit unused there.)
-                evicted = [t for t in present if t not in ex.store._scored]
-                assert evicted, "starved budget failed to evict warm terms"
+                # budget 1 keeps only the last scored entry, so pass 2
+                # re-decodes every other term cold. (Sparse BMW never
+                # touches the scored LRU: it cursors over the term's
+                # segment table.)
+                assert len(ex.store._scored) == 1
             for q in QUESTIONS:
                 want = _oracle_topk_banned(oracle, q, k, banned)
                 assert got[q] == want, (method, _pass, q)
