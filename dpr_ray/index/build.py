@@ -9,7 +9,7 @@ with postings instead of dense vectors:
        docid-sorted docstore AND emits partials for the global stats
        (N, avgdl, max docid — the A5-analog aggregates) and the
        deterministic docid%mod head-term df sample (skew plan); the
-       stats + salt plan persist in the docstore resume marker
+       stats + salt plan persist in the docstore checkpoint entry
   → map_batches(EmitEncodedPostings)  — map-side combine over batches of
        N / CPUs docs (≤ 8192): per-(term, salt) delta+varint-encoded
        sub-lists (small terms via the BATCHED single-block encoder — one
@@ -455,48 +455,6 @@ def corpus_fingerprint(corpus_ds: ray.data.Dataset) -> str | None:
     return h.hexdigest()
 
 
-def _check_resume_fp(recorded, current, index_dir: str, source: str) -> None:
-    if recorded and current and recorded != current:
-        raise ValueError(
-            f"resume=True but the input corpus does not match the one the "
-            f"{source} in {index_dir!r} was built from (fingerprint "
-            f"{current} != recorded {recorded}): resuming would silently "
-            "serve the OLD corpus. Rebuild without resume (or into a fresh "
-            "index dir) if the corpus really changed."
-        )
-
-
-def _resume_sig(scope: str, **kv) -> str:
-    """Signature over the build PARAMETERS that determine a stage's output
-    bytes. The corpus fingerprint alone is not enough for resume safety:
-    rerunning into an existing index dir with the same corpus but a
-    different docid_strategy / block_size / num_tbuckets / k1 / ... would
-    otherwise silently serve (or rebuild on top of) an index that does not
-    match the requested parameters — the same silent-staleness class as a
-    changed corpus. Checked independently of the fingerprint so in-memory
-    corpora (fp=None) still get the parameter guard."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(scope.encode())
-    for k in sorted(kv):
-        h.update(f"|{k}={kv[k]!r}".encode())
-    return h.hexdigest()
-
-
-def _check_resume_sig(recorded, current, index_dir: str, source: str) -> None:
-    # old markers (pre-signature) carry no 'resume_sig': best-effort skip,
-    # same policy as a fingerprint-less corpus
-    if recorded and recorded != current:
-        raise ValueError(
-            f"resume=True but the build parameters (docid_strategy / "
-            f"dedup_ids / block_size / num_tbuckets / k1 / b / ...) do not "
-            f"match the ones the {source} in {index_dir!r} was built with "
-            f"(signature {current} != recorded {recorded}): resuming would "
-            "silently serve an index built with DIFFERENT parameters. "
-            "Rebuild without resume (or into a fresh index dir) if the "
-            "parameters really changed."
-        )
-
-
 def _strip_tbucket(t: pa.Table) -> pa.Table:
     """Drop the physical tbucket column before a hive-partitioned segment
     write: the directory name carries the value, and the OTHER segment
@@ -525,16 +483,15 @@ def build_index(
 ) -> dict:
     """Build a BM25 index under ``index_dir``. Returns the stats dict.
 
-    Resume (``resume=True``): a complete manifest skips the whole build
-    (segments are byte-deterministic, so skip == rebuild); a surviving
-    docstore stage marker skips featurize+write and rebuilds only the
-    segments. Partially-written stage outputs are wiped before rewrite, so
-    a killed run restarted with resume=True converges to the clean-run
-    bytes (property-tested). Both resume points record and verify a
-    best-effort corpus fingerprint (``corpus_fingerprint``) so resuming
-    against a CHANGED input corpus fails loudly instead of silently
-    serving the old one; in-memory corpora have no file lineage and skip
-    the check."""
+    Resume (``resume=True``; records and trust policy in ``manifest``): a
+    complete manifest with this build's signature skips the whole build
+    (segments are byte-deterministic, so skip == rebuild); a signed
+    ``docstore`` checkpoint skips featurize+write. Partially-written
+    outputs are wiped before rewrite, so a killed run restarted with
+    resume=True converges to the clean-run bytes (property-tested).
+    Resuming with CHANGED parameters, over a merge's outputs, or against
+    a changed corpus (``corpus_fingerprint``; in-memory corpora have no
+    file lineage) fails loudly instead of serving a stale index."""
     import shutil
 
     from .._shipping import ensure_shippable
@@ -543,80 +500,44 @@ def build_index(
     t0 = time.time()
     docstore_dir = os.path.join(index_dir, "docstore")
     segments_dir = os.path.join(index_dir, "segments")
-    docstore_marker = os.path.join(index_dir, "docstore_done.json")
+    checkpoints = os.path.join(index_dir, man.CHECKPOINTS)
     corpus_fp = corpus_fingerprint(corpus_ds)
-    # two resume scopes: the docstore marker's bytes + salt plan depend only
-    # on the featurize/salt parameters (segment params may legitimately
+    # two resume scopes: the docstore's bytes + salt plan depend only on
+    # the featurize/salt parameters (segment params may legitimately
     # change between a docstore resume and the segment rebuild it feeds);
-    # the complete manifest freezes everything.
-    doc_sig = _resume_sig(
+    # the complete manifest freezes everything. The corpus fingerprint is
+    # checked apart from the parameters, so in-memory corpora (fp=None)
+    # still get the parameter guard.
+    doc_sig = man.sign(
         "docstore", docid_strategy=docid_strategy, num_dbuckets=num_dbuckets,
         dedup_ids=dedup_ids, sample_mod=sample_mod, group_budget=group_budget,
     )
-    full_sig = _resume_sig(
+    full_sig = man.sign(
         "index", doc_sig=doc_sig, k1=params.k1, b=params.b,
         num_tbuckets=num_tbuckets, block_size=block_size,
         max_postings_per_slice=max_postings_per_slice,
     )
-    if resume:
-        m = man.read_manifest(index_dir)
-        if m and m.get("complete"):
-            _check_resume_fp(
-                m.get("corpus_fp"), corpus_fp, index_dir, "complete index"
-            )
-            _check_resume_sig(
-                m.get("resume_sig"), full_sig, index_dir, "complete index"
-            )
-            return seg.read_stats(index_dir)
+    # affirmative mismatches refuse loudly: a changed corpus or changed
+    # parameters under resume=True is user error, not a kill artifact
+    trust = dict(resume=resume, strict=True, corpus_fp=corpus_fp)
+    done_stats = man.resume_index(index_dir, full_sig, **trust)
+    if done_stats is not None:
+        return done_stats
     os.makedirs(index_dir, exist_ok=True)
-    # Invalidate any prior completeness claim BEFORE mutating outputs: a
-    # rebuild killed mid-way must not leave a dir whose stale manifest still
-    # says "complete" (a later resume would then return stale stats over a
-    # wiped/partial docstore). stats.json goes too: merge_indexes and
-    # SegmentStore read it WITHOUT a completeness check, so a stale copy
-    # over partial data would serve the old corpus's N/avgdl silently.
-    # Non-resume rebuilds also drop stage markers.
-    for stale in ("manifest.json", "stats.json"):
-        p_ = os.path.join(index_dir, stale)
-        if os.path.exists(p_):
-            os.remove(p_)
-    if not resume:
-        for marker in (
-            docstore_marker,
-            os.path.join(index_dir, "spill_done.json"),
-            os.path.join(index_dir, "segments_done.json"),
-        ):
-            if os.path.exists(marker):
-                os.remove(marker)
 
     # ---- stage 1 (fused): featurize → sorted docstore + stats + skew plan
     # ONE Dataset execution writes the docid-sorted docstore AND emits the
     # partial rows for (N, sum_dl, max_docid) and the head-term df sample
     # (DocstoreWriter); the former separate stats + sample executions each
     # re-read the docstore and cost seconds of fixed dispatch that did not
-    # shrink with CPUs (the round-1 scaling gap). The resume marker persists
-    # the stats + salt plan so a resumed run recomputes nothing.
+    # shrink with CPUs (the round-1 scaling gap). The docstore checkpoint
+    # persists the stats + salt plan so a resumed run recomputes nothing.
     salt_map: dict[str, int] = {}  # term -> shift
-    # marker trust policy (see man.read_json_marker): unparseable or
-    # missing-keys markers are ABSENT → rebuild; present signatures that
-    # MISMATCH still refuse loudly below
-    dmark = man.read_json_marker(docstore_marker) if resume else None
-    if dmark is not None and not (
-        {"resume_sig", "n_docs", "sum_dl", "max_docid", "salt_map"}
-        <= dmark.keys()
-    ):
-        dmark = None
-        log.warning(
-            "docstore marker %s is unreadable or predates marker signing"
-            " — rebuilding the docstore", docstore_marker,
-        )
+    decisions: dict[str, str] = {}  # output → resume decision
+    dmark, decisions["docstore"] = man.reuse(
+        checkpoints, "docstore", doc_sig, **trust
+    )
     if dmark is not None:
-        _check_resume_fp(
-            dmark.get("corpus_fp"), corpus_fp, index_dir, "docstore"
-        )
-        _check_resume_sig(
-            dmark.get("resume_sig"), doc_sig, index_dir, "docstore"
-        )
         t_docstore = t_stats = t_sample = time.time()
         n_docs = int(dmark["n_docs"])
         sum_dl = int(dmark["sum_dl"])
@@ -722,17 +643,10 @@ def build_index(
                 })
             )
             pq_.write_table(empty, os.path.join(docstore_dir, "empty.parquet"))
-        man.write_json_atomic(
-            docstore_marker,
-            {
-                "complete": True,
-                "corpus_fp": corpus_fp,
-                "resume_sig": doc_sig,
-                "n_docs": n_docs,
-                "sum_dl": sum_dl,
-                "max_docid": max_docid,
-                "salt_map": salt_map,
-            },
+        man.commit(
+            checkpoints, "docstore", doc_sig, corpus_fp=corpus_fp,
+            n_docs=n_docs, sum_dl=sum_dl, max_docid=max_docid,
+            salt_map=salt_map,
         )
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
@@ -779,18 +693,10 @@ def build_index(
 
     n_slices = n_postings = None
     if not partition_resume:
-        # drop any PARTITION-path state first, resume or not: this branch
-        # is about to wipe segments_dir, and surviving spill_done.json /
-        # segments_done.json markers would make a LATER
-        # partition_resume=True run skip every "done" bucket whose dir no
-        # longer exists — a manifest-complete index with silently empty
-        # segments (live-reproduced before this guard)
-        for stale_marker in (
-            os.path.join(index_dir, "spill_done.json"),
-            os.path.join(index_dir, "segments_done.json"),
-        ):
-            if os.path.exists(stale_marker):
-                os.remove(stale_marker)
+        # drop the PARTITION-path entries before wiping segments_dir: a
+        # later partition_resume=True run would skip every "done" bucket
+        # whose dir is gone — silently empty segments (live-reproduced)
+        man.drop(checkpoints, "postings_spill", "segments")
         shutil.rmtree(
             os.path.join(index_dir, "postings_spill"), ignore_errors=True
         )
@@ -809,79 +715,29 @@ def build_index(
         # re-tokenization (the spill survives); the skew plan is frozen in
         # the spill, so resumed output is byte-identical to a clean run.
         spill_dir = os.path.join(index_dir, "postings_spill")
-        spill_marker = os.path.join(index_dir, "spill_done.json")
-        done_path = os.path.join(index_dir, "segments_done.json")
-        # The spill holds pre-ENCODED postings: its bytes depend on the
-        # segment params (k1/b/num_tbuckets/block_size via
-        # EmitEncodedPostings) AND the corpus — so the marker records and
-        # verifies full_sig + corpus_fp like the docstore/manifest markers.
-        # Without this, rerunning with e.g. a changed num_tbuckets reused a
-        # spill whose tbucket assignment no longer matches query-time term
-        # hashing: terms silently missing. done_path needs no separate check:
-        # it is removed whenever the spill is rewritten, so it can only
-        # coexist with a spill marker that already passed these checks.
-        # Marker trust policy: an affirmative MISMATCH of a recorded
-        # signature/fingerprint is user error and refuses loudly; a marker
-        # that is unparseable (pre-atomic-write kill artifact) or predates
-        # signing entirely is treated as ABSENT — the spill is rebuilt from
-        # the current corpus+params, which is always safe: the (signed)
-        # docstore marker upstream already refused any corpus change, and
-        # removing done_path forces segments to rebuild from the new spill.
-        smark = man.read_json_marker(spill_marker) if resume else None
-        if smark is not None and "resume_sig" not in smark:
-            smark = None
-        if resume and smark is None and os.path.exists(spill_marker):
-            log.warning(
-                "spill marker %s is unreadable or predates marker "
-                "signing — rebuilding the postings spill",
-                spill_marker,
-            )
-        if smark is not None:
-            _check_resume_fp(
-                smark.get("corpus_fp"), corpus_fp, index_dir, "postings spill"
-            )
-            _check_resume_sig(
-                smark.get("resume_sig"), full_sig, index_dir, "postings spill"
-            )
-        else:
-            # drop stale state FIRST (marker, bucket list, spill) so a kill
-            # anywhere inside the rewrite leaves no marker — the next resume
-            # rebuilds; writing the marker before removing done_path would
-            # open a window where a fresh signed marker coexists with a
-            # bucket list from the PREVIOUS spill
-            for p in (spill_marker, done_path):
-                if os.path.exists(p):
-                    os.remove(p)
+        # The spill holds pre-ENCODED postings, so its bytes depend on the
+        # segment params AND the corpus: its entry is signed with full_sig
+        # and records corpus_fp (a reused spill with another num_tbuckets
+        # silently lost terms). Its rewrite drops the bucket list first.
+        smark, decisions["postings_spill"] = man.reuse(
+            checkpoints, "postings_spill", full_sig, **trust
+        )
+        if smark is None:
+            man.drop(checkpoints, "segments")
             shutil.rmtree(spill_dir, ignore_errors=True)
             write_partitioned(posts, spill_dir, "tbucket")
-            man.write_json_atomic(spill_marker, {
-                "complete": True, "corpus_fp": corpus_fp,
-                "resume_sig": full_sig,
-            })
-        done: set[int] = set()
-        if resume:
-            dp = man.read_json_marker(done_path)
-            if dp is not None and isinstance(dp.get("buckets"), list):
-                done = set(dp["buckets"])
-        # stale bucket dirs OUTSIDE range(num_tbuckets) — left by a prior
-        # build with a larger num_tbuckets killed mid-segments and rerun
-        # with resume=False (resume=True refuses via the spill signature) —
-        # must go: the loop below only rewrites in-range buckets, and a
-        # leftover dir's postings use the OLD tbucket assignment (phantom
-        # terms in full-segment scans, inflated stats). The non-partition
-        # path wipes segments_dir entirely.
-        if os.path.isdir(segments_dir):
-            for d_ in os.listdir(segments_dir):
-                if not d_.startswith("tbucket="):
-                    continue
-                try:
-                    b_ = int(d_.split("=", 1)[1])
-                except ValueError:
-                    b_ = -1
-                if not (0 <= b_ < num_tbuckets):
-                    shutil.rmtree(
-                        os.path.join(segments_dir, d_), ignore_errors=True
-                    )
+            man.commit(
+                checkpoints, "postings_spill", full_sig, corpus_fp=corpus_fp
+            )
+        dp, decisions["segments"] = man.reuse(
+            checkpoints, "segments", full_sig, **trust
+        )
+        done = set(dp["buckets"]) if dp else set()
+        if dp is None:
+            # start empty, like the non-partition path: a leftover dir
+            # outside range(num_tbuckets) keeps the OLD tbucket assignment
+            # (phantom terms in full-segment scans, inflated stats)
+            shutil.rmtree(segments_dir, ignore_errors=True)
         for b in range(num_tbuckets):
             if b in done:
                 continue
@@ -896,7 +752,7 @@ def build_index(
                 ).map_batches(_strip_tbucket, batch_format="pyarrow")
                 final_b.write_parquet(out_b)
             done.add(b)
-            man.write_json_atomic(done_path, {"buckets": sorted(done)})
+            man.commit(checkpoints, "segments", full_sig, buckets=sorted(done))
     # empty corpus / empty buckets: guarantee at least one (0-row) segment
     # file so readers always see the canonical schema
     seg.ensure_nonempty_segments(segments_dir)
@@ -928,6 +784,7 @@ def build_index(
         index_dir,
         corpus_fp=corpus_fp,
         resume_sig=full_sig,
+        resume=decisions,
         stats=stats,
         timings={
             "docstore_sec": t_docstore - t0,

@@ -1,23 +1,57 @@
-"""Build manifests: per-partition lineage + metrics (north-rule requirement).
+"""Index-directory state: one signer, one checkpoint file, one manifest.
 
-The reference's only resume units are whole output files (re-run a missing
-shard id — ``generate_dense_embeddings.py:145-149``) and training
-checkpoints (``dpr/utils/model_utils.py:21-31``). Here every build writes a
-``manifest.json`` recording global stats, per-stage wall times, the skew
-plan (salted head terms), and a per-partition table (file, rows, bytes) for
-both docstore and segments. ``is_complete()`` gates resume: a rerun that
-finds a complete manifest skips the build (segments are byte-deterministic,
-so skip == rebuild) — and ``build_index`` refuses the skip when the
-manifest's recorded ``corpus_fp`` (input-file fingerprint, see
-``build.corpus_fingerprint``) doesn't match the corpus it was handed.
+The reference resumes only whole output files (re-run a missing shard id
+— ``generate_dense_embeddings.py:145-149``). Here this module owns every
+resume decision for an index directory. ``sign`` signs the inputs and
+parameters an output was written from, under a scope naming the writer.
+``checkpoints.json`` holds one signed entry per output subdirectory:
+``docstore`` (build and merge share it; their scopes differ, so neither
+trusts the other's state), ``postings_spill`` and ``segments`` (the
+``partition_resume`` bucket list). ``manifest.json`` is the completeness
+claim: stats, stage times, skew plan, partition tables, the writer's
+signature, the corpus fingerprint and each output's resume decision.
+
+Trust policy, the same for every record: a missing, unparseable or
+unsigned record is ABSENT and its output is rewritten, which is always
+safe because every stage is deterministic. An affirmative signature or
+fingerprint MISMATCH refuses loudly under ``strict`` (build_index: user
+error) and is rewritten otherwise (merges and tools: new inputs mean
+recompute). Files of older layouts are never read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import os
 
+import numpy as np
 import pyarrow.parquet as pq
+
+log = logging.getLogger(__name__)
+
+CHECKPOINTS = "checkpoints.json"
+
+
+def sign(scope: str, **fields) -> str:
+    """Each field is tagged by its name, so differently named fields never
+    collide and their order does not matter. Values hash through
+    ``repr``, numpy arrays by dtype plus raw bytes (``repr`` elides long
+    arrays). The byte layout for other values must not change: complete
+    manifests written by earlier builds verify against it."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(scope.encode())
+    for k in sorted(fields):
+        v = fields[k]
+        if isinstance(v, np.ndarray):
+            data = hashlib.blake2b(
+                np.ascontiguousarray(v).tobytes(), digest_size=16
+            ).hexdigest()
+            h.update(f"|{k}=ndarray({v.dtype.str},{v.shape},{data})".encode())
+        else:
+            h.update(f"|{k}={v!r}".encode())
+    return h.hexdigest()
 
 
 def _partition_table(root: str) -> list[dict]:
@@ -43,8 +77,8 @@ def _partition_table(root: str) -> list[dict]:
 
 def write_json_atomic(path: str, obj: dict, **dump_kwargs) -> None:
     """Write-then-rename so a kill mid-dump never leaves a truncated JSON
-    file at ``path`` — resume markers are trusted by filename, so a
-    half-written marker must not be observable."""
+    file at ``path`` — resume records are trusted by filename, so a
+    half-written one must not be observable."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(obj, f, **dump_kwargs)
@@ -52,12 +86,8 @@ def write_json_atomic(path: str, obj: dict, **dump_kwargs) -> None:
 
 
 def read_json_marker(path: str) -> dict | None:
-    """Marker trust policy (shared by every resume marker): a marker that
-    is missing, unparseable (a pre-atomic-write kill artifact), or not a
-    JSON object is treated as ABSENT — the caller rebuilds, which is
-    always safe because every build/merge stage is deterministic.
-    Affirmative signature/fingerprint MISMATCHES stay the caller's job
-    and still refuse loudly (user error, not a kill artifact)."""
+    """The JSON object at ``path``; None when it is missing, unparseable
+    (a pre-atomic-write kill artifact) or not an object."""
     try:
         with open(path) as f:
             obj = json.load(f)
@@ -66,14 +96,113 @@ def read_json_marker(path: str) -> dict | None:
     return obj if isinstance(obj, dict) else None
 
 
+def _refuse_mismatch(entry: dict, sig: str, corpus_fp, what: str) -> None:
+    recorded = entry.get("corpus_fp")
+    if recorded and corpus_fp and recorded != corpus_fp:
+        why = (f"the input corpus does not match (fingerprint {corpus_fp} "
+               f"!= recorded {recorded})")
+    elif entry["resume_sig"] != sig:
+        why = ("the build parameters (docid_strategy / dedup_ids / "
+               "block_size / num_tbuckets / k1 / b / ...) do not match, or "
+               f"a merge wrote it (signature {sig} != recorded "
+               f"{entry['resume_sig']})")
+    else:
+        return
+    raise ValueError(
+        f"resume=True but {why} for the {what}: resuming would silently "
+        "serve a stale index. Rebuild without resume (or into a fresh "
+        "index dir) if the corpus or parameters really changed."
+    )
+
+
+def reuse(
+    path: str, key: str | None, sig: str, *, resume: bool = True,
+    strict: bool = False, corpus_fp: str | None = None,
+) -> tuple[dict | None, str]:
+    """Resume decision for one output: ``(entry or None, decision)``.
+
+    ``path`` is a ``checkpoints.json`` and ``key`` the output subdirectory
+    beside it that the entry vouches for, or ``key=None`` for a record
+    that is a file of its own (``manifest.json``, a curation
+    ``_SUCCESS``). The entry comes back when it is signed ``sig`` (and a
+    keyed entry's output directory is non-empty); otherwise the record is
+    dropped, the caller rewrites the output, and ``decision`` says why."""
+    index_dir = os.path.dirname(path)
+    what = f"{key or os.path.basename(path)} in {index_dir!r}"
+    entry = read_json_marker(path) if resume else None
+    if entry is not None and key is not None:
+        out = os.path.join(index_dir, key)
+        has_output = os.path.isdir(out) and os.listdir(out)
+        entry = entry.get(key) if has_output else None
+    if not resume:
+        decision = "rebuilt: resume off"
+    elif not isinstance(entry, dict) or not entry.get("resume_sig"):
+        decision = "rebuilt: absent"
+    else:
+        if strict:
+            _refuse_mismatch(entry, sig, corpus_fp, what)
+        decision = ("resumed" if entry["resume_sig"] == sig
+                    else "rebuilt: signature changed")
+    if decision != "resumed":
+        entry = None
+        drop(path, *([] if key is None else [key]))
+    log.info("resume %s: %s", what, decision)
+    return entry, decision
+
+
+def commit(path: str, key: str | None, sig: str, **payload) -> None:
+    """Record an output, signed ``sig``, with the payload a resumed run
+    needs instead of recomputing it. Call it only once the output is
+    completely written: the record is the claim that it is."""
+    entry = {"resume_sig": sig, **payload}
+    if key is not None:
+        entry = {**(read_json_marker(path) or {}), key: entry}
+    write_json_atomic(path, entry, sort_keys=True)
+
+
+def drop(path: str, *keys: str) -> None:
+    """Withdraw the given checkpoint entries, or the whole file when no
+    key is given, before the outputs they vouch for are rewritten."""
+    entries = read_json_marker(path) if keys else None
+    if not keys and os.path.exists(path):
+        os.remove(path)
+    elif entries is not None and not entries.keys().isdisjoint(keys):
+        write_json_atomic(
+            path, {k: v for k, v in entries.items() if k not in keys},
+            sort_keys=True,
+        )
+
+
+def resume_index(
+    index_dir: str, sig: str, *, resume: bool, strict: bool = False,
+    corpus_fp: str | None = None,
+) -> dict | None:
+    """The stats of a complete index in ``index_dir`` signed ``sig`` (the
+    caller skips its write); otherwise None, after withdrawing every
+    completeness claim before the caller mutates outputs: manifest.json,
+    stats.json (merge_indexes and SegmentStore read it without a
+    completeness check) and, on a non-resume run, every checkpoint."""
+    m, _ = reuse(
+        os.path.join(index_dir, "manifest.json"), None, sig, resume=resume,
+        strict=strict, corpus_fp=corpus_fp,
+    )
+    if m is not None:
+        return m["stats"]
+    drop(os.path.join(index_dir, "stats.json"))
+    if not resume:
+        drop(os.path.join(index_dir, CHECKPOINTS))
+    return None
+
+
 def write_manifest(
     index_dir: str, *, stats: dict, timings: dict, salt_map: dict,
-    corpus_fp: str | None = None, resume_sig: str | None = None,
+    resume_sig: str, resume: dict, corpus_fp: str | None = None,
 ) -> dict:
     manifest = {
         "complete": True,
         "corpus_fp": corpus_fp,
         "resume_sig": resume_sig,
+        "resume": resume,
         "stats": stats,
         "timings": timings,
         "skew_plan": {"salted_terms": len(salt_map), "salt_map": dict(sorted(salt_map.items())[:1000])},

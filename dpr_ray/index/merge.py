@@ -69,8 +69,6 @@ delete/update story short of rebuilding.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import shutil
 import time
@@ -163,43 +161,35 @@ def _build_shadow(
     return ids_s[last], rk_s[last]
 
 
-def _merge_signature(
-    index_dirs, stats_list, mode, delete_ext_ids, delete_docids,
-    params, num_tbuckets, block_size,
+def _merge_sig(
+    index_dirs, stats_list, *, mode, params, num_tbuckets, block_size,
+    max_postings_per_slice, delete_ext_ids=None, delete_docids=None,
 ) -> str:
-    """Content signature of everything the merged docstore depends on —
-    keys the docstore-phase resume marker. Besides stats, it fingerprints
-    each input docstore's part files (name, size, mtime): an input rebuilt
-    in place with coincidentally identical stats but different document
-    text must NOT falsely resume a stale merged docstore (false
-    invalidation is harmless — the pass just recomputes)."""
-    h = hashlib.blake2b(digest_size=16)
+    """Signs a merge's docstore checkpoint and manifest. Besides stats, it
+    fingerprints each input docstore's part files (name, size, mtime_ns):
+    an input rebuilt in place with identical stats but different text
+    must NOT falsely resume a stale merged docstore (false invalidation
+    is harmless — the pass just recomputes)."""
+    inputs = []
     for d, s in zip(index_dirs, stats_list):
-        h.update(os.path.abspath(d).encode())
-        h.update(json.dumps(s, sort_keys=True).encode())
         doc_dir = os.path.join(d, "docstore")
+        parts = []
         if os.path.isdir(doc_dir):
             for name in sorted(os.listdir(doc_dir)):
                 p = os.path.join(doc_dir, name)
                 if name.endswith(".parquet") and os.path.isfile(p):
                     st = os.stat(p)
-                    # mtime at ns granularity: a part rewritten with the
-                    # same size within the same SECOND must not falsely
-                    # resume a stale merged docstore
-                    h.update(f"{name}|{st.st_size}|{st.st_mtime_ns}".encode())
-    h.update(f"{mode}|{params.k1}|{params.b}|{num_tbuckets}|{block_size}".encode())
-    for e in sorted(delete_ext_ids or []):
-        # length-framed: unframed concatenation made ['repo/ab','c'] and
-        # ['repo/a','bc'] collide, falsely resuming a stale merged
-        # docstore whose tombstone set (and avgdl) differ from the
-        # segments phase's (the corpus_fingerprint collision class)
-        b = e.encode()
-        h.update(len(b).to_bytes(4, "little"))
-        h.update(b)
-    if delete_docids is not None and len(delete_docids):
-        for v in np.sort(np.asarray(delete_docids, dtype=np.uint64)):
-            h.update(int(v).to_bytes(8, "little"))
-    return h.hexdigest()
+                    parts.append((name, st.st_size, st.st_mtime_ns))
+        inputs.append((os.path.abspath(d), s, parts))
+    return man.sign(
+        "merge", inputs=inputs, mode=mode, k1=params.k1, b=params.b,
+        num_tbuckets=num_tbuckets, block_size=block_size,
+        max_postings_per_slice=max_postings_per_slice,
+        delete_ext_ids=sorted(delete_ext_ids or []),
+        delete_docids=np.sort(np.asarray(
+            [] if delete_docids is None else delete_docids, np.uint64
+        )),
+    )
 
 
 def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
@@ -305,7 +295,11 @@ def merge_indexes(
     (``index_dirs`` ordered oldest → newest) and drops tombstones
     everywhere (docstore + every term's postings). Tombstones are
     ``delete_ext_ids`` (hash64-docid indexes) and/or ``delete_docids``
-    (raw ids, for ``docid_strategy="provided"`` corpora)."""
+    (raw ids, for ``docid_strategy="provided"`` corpora).
+
+    ``resume=True`` returns an ``out_dir`` this same merge completed and
+    reuses its docstore after a kill mid-segments; anything else in
+    ``out_dir`` is recomputed (records and policy in ``manifest``)."""
     if mode not in ("disjoint", "upsert"):
         raise ValueError(f"unknown merge mode {mode!r}")
     if not index_dirs:
@@ -353,6 +347,17 @@ def merge_indexes(
                     f"input index {d} has no max_docid in stats.json — "
                     "rebuild it before merging"
                 )
+    # before any out_dir mutation; a mismatch recomputes (new inputs mean
+    # a new merge)
+    sig = _merge_sig(
+        index_dirs, stats_list, mode=mode, params=params,
+        num_tbuckets=num_tbuckets, block_size=block_size,
+        max_postings_per_slice=max_pps, delete_ext_ids=delete_ext_ids,
+        delete_docids=delete_docids,
+    )
+    done_stats = man.resume_index(out_dir, sig, resume=resume)
+    if done_stats is not None:
+        return done_stats
 
     if upsert:
         sh_ids, sh_win = _build_shadow(
@@ -387,76 +392,50 @@ def merge_indexes(
 
     out_segments = os.path.join(out_dir, "segments")
     out_docstore = os.path.join(out_dir, "docstore")
+    checkpoints = os.path.join(out_dir, man.CHECKPOINTS)
     os.makedirs(out_dir, exist_ok=True)
-    # invalidate a PRIOR run's completeness claims BEFORE mutating outputs
-    # (the build_index discipline): a re-merge killed mid-segments must
-    # not leave an out_dir whose stale stats.json/manifest.json still say
-    # "complete" over wiped/partial segments — readers would serve wrong
-    # stats silently
-    for stale in ("manifest.json", "stats.json"):
-        p = os.path.join(out_dir, stale)
-        if os.path.exists(p):
-            os.remove(p)
+    man.drop(checkpoints, "segments")
     shutil.rmtree(out_segments, ignore_errors=True)
 
     # ---- docstore first: the upsert avgdl comes from SURVIVING docs, and
     # the ranged writer folds (N, sum_dl, max_docid) into the write pass.
-    # Phase marker (written only AFTER a complete pass, keyed by an input
-    # signature): a merge killed during the SEGMENTS shuffle resumes
-    # without repaying the docstore sort+rewrite — a partial docstore has
-    # no marker and is recomputed from scratch.
-    sig = _merge_signature(
-        index_dirs, stats_list, mode, delete_ext_ids, delete_docids,
-        params, num_tbuckets, block_size,
-    )
-    marker = os.path.join(out_dir, "merge_docstore_done.json")
-    doc_stats = None
-    if resume:
-        # unparseable / truncated marker reads as absent (kill mid-write
-        # artifact — see manifest.read_json_marker's trust policy)
-        done = man.read_json_marker(marker)
-        if (
-            done is not None
-            and done.get("signature") == sig
-            and isinstance(done.get("doc_stats"), dict)
-            and os.path.isdir(out_docstore)
-            and any(f.endswith(".parquet") for f in os.listdir(out_docstore))
-        ):
-            doc_stats = done["doc_stats"]
-    doc_resumed = doc_stats is not None
-    if not doc_resumed and os.path.exists(marker):
-        os.remove(marker)
-    if not doc_resumed:
+    # Its checkpoint (committed only AFTER a complete pass): a merge
+    # killed during the SEGMENTS shuffle resumes without repaying the
+    # docstore sort+rewrite — a partial docstore has no entry and is
+    # recomputed from scratch.
+    done, decision = man.reuse(checkpoints, "docstore", sig, resume=resume)
+    if done is not None:
+        doc_stats = done["doc_stats"]
+    else:
         shutil.rmtree(out_docstore, ignore_errors=True)
         os.makedirs(out_docstore, exist_ok=True)
-    if doc_resumed:
-        pass
-    elif upsert:
-        # filter per input BRANCH (rank is a per-branch constant; a
-        # post-union batch could coalesce rows of different branches)
-        parts = []
-        for rank, d in enumerate(index_dirs):
+        if upsert:
+            # filter per input BRANCH (rank is a per-branch constant; a
+            # post-union batch could coalesce rows of different branches)
+            parts = []
+            for rank, d in enumerate(index_dirs):
 
-            def _doc_filter(batch: pa.Table, _r: int = rank) -> pa.Table:
-                si, sw = ray.get(shadow_ref)
-                ids = batch["docid"].to_numpy(zero_copy_only=False).astype(
-                    np.uint64
-                )
-                return batch.filter(pa.array(keep_mask(ids, _r, si, sw)))
+                def _doc_filter(batch: pa.Table, _r: int = rank) -> pa.Table:
+                    si, sw = ray.get(shadow_ref)
+                    ids = batch["docid"].to_numpy(
+                        zero_copy_only=False
+                    ).astype(np.uint64)
+                    return batch.filter(pa.array(keep_mask(ids, _r, si, sw)))
 
-            parts.append(
-                ray.data.read_parquet(os.path.join(d, "docstore")).map_batches(
-                    _doc_filter, batch_format="pyarrow"
+                parts.append(
+                    ray.data.read_parquet(
+                        os.path.join(d, "docstore")
+                    ).map_batches(_doc_filter, batch_format="pyarrow")
                 )
-            )
-        doc_ds = parts[0]
-        for p in parts[1:]:
-            doc_ds = doc_ds.union(p)
-        doc_ds = doc_ds.sort("docid")
-    else:
-        doc_ds = _read_union("docstore").sort("docid")
-    if not doc_resumed:
-        doc_stats = _write_docstore_ranged(full_width(doc_ds), out_docstore, mode)
+            doc_ds = parts[0]
+            for p in parts[1:]:
+                doc_ds = doc_ds.union(p)
+            doc_ds = doc_ds.sort("docid")
+        else:
+            doc_ds = _read_union("docstore").sort("docid")
+        doc_stats = _write_docstore_ranged(
+            full_width(doc_ds), out_docstore, mode
+        )
         if doc_stats["rows"] == 0:
             # fully-deleted corpus: keep an empty docstore file so
             # downstream readers see the schema (mirrors build_index's
@@ -471,7 +450,7 @@ def merge_indexes(
                 schema.empty_table(),
                 os.path.join(out_docstore, "empty.parquet"),
             )
-        man.write_json_atomic(marker, {"signature": sig, "doc_stats": doc_stats})
+        man.commit(checkpoints, "docstore", sig, doc_stats=doc_stats)
     t_docstore = time.time()
 
     if upsert:
@@ -572,15 +551,11 @@ def merge_indexes(
             "total_sec": time.time() - t0,
             "docstore_sec": t_docstore - t0,
             "segments_sec": time.time() - t_docstore,
-            "docstore_resumed": doc_resumed,
         },
         salt_map={},
-        # sentinel fp/sig: a manifest with BOTH as None skips build_index's
-        # resume guards (old-marker leniency), so build_index(resume=True)
-        # pointed at a merge output would silently return the merged stats
-        # for an unrelated corpus/params. Any real corpus fingerprint or
-        # build signature mismatches these and refuses loudly.
-        corpus_fp=f"merged:{sig}",
-        resume_sig=f"merged:{sig}",
+        # build_index(resume=True) pointed at a merge output refuses
+        # loudly: no build signature equals a merge's
+        resume_sig=sig,
+        resume={"docstore": decision},
     )
     return stats

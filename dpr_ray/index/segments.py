@@ -6,6 +6,7 @@ map, ``dpr/indexer/faiss_indexers.py:41-79``):
     <index_dir>/
       stats.json                       # {"N", "avgdl", "sum_dl", ...}
       manifest.json                    # build lineage + per-stage metrics
+      checkpoints.json                 # signed resume entries (manifest.py)
       docstore/part-<lo>-<hi>.parquet  # docid-sorted, range-named parts
       segments/tbucket=<i>/*.parquet   # term-partitioned posting lists
 

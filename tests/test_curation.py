@@ -353,8 +353,8 @@ def test_curate_job_empty_keepset(tmp_path):
                         text=True, timeout=300, env=env)
     assert r2.returncode == 0, r2.stdout + r2.stderr
     rep2 = json.loads(r2.stdout.strip().splitlines()[-1])
-    assert rep2["verdicts"] == "resumed (marker present)"
-    assert rep2["corpus"] == "resumed (marker present)"
+    assert rep2["verdicts"] == "resumed"
+    assert rep2["corpus"] == "resumed"
     # markers are SIGNED: a rerun with a different quality bar must
     # RECOMPUTE, not serve the stale all-dropped verdicts (the unsigned-
     # marker staleness class fixed on every index resume marker)
@@ -365,6 +365,7 @@ def test_curate_job_empty_keepset(tmp_path):
     assert r3.returncode == 0, r3.stdout + r3.stderr
     rep3 = json.loads(r3.stdout.strip().splitlines()[-1])
     assert "verdict_rows" in rep3, rep3  # recomputed, not resumed
+    assert rep3["verdicts"] == "rebuilt: signature changed", rep3
     assert rep3["kept_rows"] > 0, rep3
 
 

@@ -212,8 +212,6 @@ def test_salted_merge_adversarial_skew(ray_session, tmp_path, shape):
     postings, df sums, and query results identical; and a rebuild at
     different parallelism is byte-identical (determinism under the same
     skew plan)."""
-    import json
-
     import pyarrow as pa
     import ray.data
 
@@ -261,8 +259,7 @@ def test_salted_merge_adversarial_skew(ray_session, tmp_path, shape):
     build_index(ray.data.from_arrow(tbl).repartition(3), plain,
                 docid_strategy="hash64", group_budget=10**9, sample_mod=1,
                 block_size=8)
-    with open(os.path.join(salted, "docstore_done.json")) as f:
-        salt_map = json.load(f)["salt_map"]
+    salt_map = man.read_manifest(salted)["skew_plan"]["salt_map"]
     head_terms = {
         "omni_term": ["omni"],
         "two_heads": ["heavya", "heavyb"],

@@ -141,3 +141,81 @@ def test_merge_of_salted_indexes_is_logically_exact(ray_session, tmp_path):
             QueryExecutor(dm, k=12, method=method)(q).to_pylist()
             == QueryExecutor(dab, k=12, method=method)(q).to_pylist()
         )
+
+
+def _docstore_rows(index_dir):
+    d = pads.dataset(os.path.join(index_dir, "docstore"))
+    return sorted(d.to_table().to_pylist(), key=lambda r: r["docid"])
+
+
+def _cross_writer_inputs(tmp_path):
+    import ray.data
+
+    tbl = corpus_mod.synth_corpus_table(60, seed=5)
+    x, a, b = tbl.slice(0, 20), tbl.slice(20, 20), tbl.slice(40, 20)
+    da, db = str(tmp_path / "a"), str(tmp_path / "b")
+    build_index(ray.data.from_arrow(a), da, docid_strategy="hash64")
+    build_index(ray.data.from_arrow(b), db, docid_strategy="hash64")
+    return (lambda: ray.data.from_arrow(x)), da, db
+
+
+def test_build_resume_refuses_merge_state_in_same_dir(ray_session, tmp_path):
+    """Build X into D, merge [A, B] into the same D, then a kill after the
+    merge's docstore phase: the build's resume must not trust any docstore
+    record — the docstore on disk is the merge's. Build and merge sign
+    the shared docstore checkpoint with different scopes, so the resume
+    refuses loudly (it used to build segments from the merge's docstore
+    with X's stats and write a complete manifest)."""
+    import shutil
+
+    x, da, db = _cross_writer_inputs(tmp_path)
+    d = str(tmp_path / "d")
+    build_index(x(), d, docid_strategy="hash64")
+    merge_indexes([da, db], d)
+    for f in ("manifest.json", "stats.json"):
+        os.remove(os.path.join(d, f))
+    shutil.rmtree(os.path.join(d, "segments"))
+    with pytest.raises(ValueError, match="resume=True"):
+        build_index(x(), d, docid_strategy="hash64", resume=True)
+
+
+def test_merge_recomputes_after_build_in_same_dir(ray_session, tmp_path):
+    """Merge [A, B] into D, build X into D, merge again: no kill is needed
+    for the second merge to find a docstore record, but it is the build's,
+    so the merge recomputes its docstore and equals a fresh merge (it used
+    to resume over X's docstore while its stats said N=40)."""
+    import json
+
+    x, da, db = _cross_writer_inputs(tmp_path)
+    d, fresh = str(tmp_path / "d"), str(tmp_path / "fresh")
+    merge_indexes([da, db], d)
+    build_index(x(), d, docid_strategy="hash64")
+    stats = merge_indexes([da, db], d)
+    assert stats == merge_indexes([da, db], fresh)
+    assert _docstore_rows(d) == _docstore_rows(fresh)
+    assert _segment_rows(d) == _segment_rows(fresh)
+    with open(os.path.join(d, "manifest.json")) as f:
+        assert json.load(f)["resume"] == {
+            "docstore": "rebuilt: signature changed"
+        }
+
+
+def test_merge_resume_skips_complete_output(ray_session, tmp_path):
+    """A complete out_dir signed by the same merge is returned as is, the
+    way build_index skips a complete index: no output file is rewritten.
+    resume=False rewrites it."""
+    _, da, db = _cross_writer_inputs(tmp_path)
+    d = str(tmp_path / "d")
+    stats = merge_indexes([da, db], d)
+
+    def mtimes():
+        return {
+            os.path.join(r, f): os.stat(os.path.join(r, f)).st_mtime_ns
+            for r, _, fs in os.walk(d) for f in fs
+        }
+
+    before = mtimes()
+    assert merge_indexes([da, db], d) == stats
+    assert mtimes() == before
+    assert merge_indexes([da, db], d, resume=False) == stats
+    assert mtimes() != before

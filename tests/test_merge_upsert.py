@@ -394,9 +394,9 @@ def test_chained_upserts_equal_rebuild(ray_session, tmp_path):
 
 def test_merge_docstore_phase_resume(ray_session, tmp_path):
     """A merge killed during the segments shuffle must resume without
-    repaying the docstore sort+rewrite: marker present + same inputs →
+    repaying the docstore sort+rewrite: checkpoint present + same inputs →
     docstore parts untouched (mtime-stable), output byte-identical.
-    Changed inputs (different tombstones) → marker invalid → recompute."""
+    Changed inputs (different tombstones) → signature changed → recompute."""
     import json
 
     import ray.data
@@ -415,7 +415,8 @@ def test_merge_docstore_phase_resume(ray_session, tmp_path):
     store = os.path.join(dm, "docstore")
     mtimes = {f: os.path.getmtime(os.path.join(store, f))
               for f in os.listdir(store)}
-    # simulate a kill after the docstore phase: segments gone, marker kept
+    # simulate a kill after the docstore phase: segments gone, checkpoint
+    # kept
     import shutil
 
     shutil.rmtree(os.path.join(dm, "segments"))
@@ -424,19 +425,21 @@ def test_merge_docstore_phase_resume(ray_session, tmp_path):
     assert {f: os.path.getmtime(os.path.join(store, f))
             for f in os.listdir(store)} == mtimes  # phase skipped
     with open(os.path.join(dm, "manifest.json")) as f:
-        assert json.load(f)["timings"]["docstore_resumed"] is True
+        assert json.load(f)["resume"] == {"docstore": "resumed"}
     assert _segment_rows(dm) == ref_seg
     assert _docstore_rows(dm) == ref_doc
     # different tombstones → signature mismatch → docstore recomputed
     merge_indexes([dbase, ddelta], dm, mode="upsert",
                   delete_ext_ids=dels[:3])
     with open(os.path.join(dm, "manifest.json")) as f:
-        assert json.load(f)["timings"]["docstore_resumed"] is False
+        assert json.load(f)["resume"] == {
+            "docstore": "rebuilt: signature changed"
+        }
     assert len(_docstore_rows(dm)) == 67  # 60 - 3 deleted + 10 added
 
 
 def test_merge_resumes_on_truncated_marker(ray_session, tmp_path):
-    """merge_docstore_done.json truncated by a kill mid-write (pre-atomic
+    """checkpoints.json truncated by a kill mid-write (pre-atomic
     artifact) must read as ABSENT: the docstore phase reruns (no
     JSONDecodeError, no stale resume) and the merge converges."""
     import json
@@ -453,12 +456,12 @@ def test_merge_resumes_on_truncated_marker(ray_session, tmp_path):
     merge_indexes([dbase, ddelta], dm, mode="upsert")
     ref_seg = _segment_rows(dm)
     ref_doc = _docstore_rows(dm)
-    with open(os.path.join(dm, "merge_docstore_done.json"), "w") as f:
-        f.write('{"signature": "abc", "doc_st')  # truncated dump
+    with open(os.path.join(dm, "checkpoints.json"), "w") as f:
+        f.write('{"docstore": {"resume_sig": "abc", "doc_st')  # truncated
     os.remove(os.path.join(dm, "manifest.json"))
     merge_indexes([dbase, ddelta], dm, mode="upsert")
     with open(os.path.join(dm, "manifest.json")) as f:
-        assert json.load(f)["timings"]["docstore_resumed"] is False
+        assert json.load(f)["resume"] == {"docstore": "rebuilt: absent"}
     assert _segment_rows(dm) == ref_seg
     assert _docstore_rows(dm) == ref_doc
 
@@ -581,31 +584,43 @@ def test_write_docstore_ranged_zero_blocks(ray_session, tmp_path):
     }
 
 
-def test_merge_job_signature_deletes_flag(tmp_path):
-    """The resume signature must distinguish --deletes-are-docids: the
-    same deletes file means different tombstones under the flag."""
-    import sys
+def _sig(deletes=None, docids=None, **kw):
+    from dpr_ray.config import BM25Params
+    from dpr_ray.index.merge import _merge_sig
 
-    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-    try:
-        from merge_job import _signature
-    finally:
-        sys.path.pop(0)
-    d = str(tmp_path / "i")
-    os.makedirs(d)
-    with open(os.path.join(d, "stats.json"), "w") as f:
-        f.write("{}")
-    s_ext = _signature([d], "upsert", ["123"], False)
-    s_doc = _signature([d], "upsert", ["123"], True)
+    args = dict(mode="upsert", params=BM25Params(), num_tbuckets=16,
+                block_size=128, max_postings_per_slice=1000)
+    args.update(kw)
+    return _merge_sig([], [], delete_ext_ids=deletes, delete_docids=docids,
+                      **args)
+
+
+def test_merge_job_signature_deletes_flag():
+    """The resume signature must distinguish --deletes-are-docids: the
+    same deletes file means different tombstones under the flag, which
+    merge_job passes on as delete_docids instead of delete_ext_ids."""
+    s_ext = _sig(deletes=["123"])
+    s_doc = _sig(docids=[123])
     assert s_ext != s_doc
-    assert _signature([d], "upsert", ["123"], True) == s_doc
+    assert _sig(docids=[123]) == s_doc
+    assert _sig(docids=[123], deletes=[]) == s_doc
+
+
+def test_merge_signature_ext_ids_vs_docids_collision():
+    """A 4-byte length frame plus b"1234" has the same bytes as the uint64
+    3761405299819282436, so unnamed hashing signed ext-id tombstone
+    "1234" and that docid tombstone alike. Named fields keep them apart;
+    max_postings_per_slice, which shapes the merged segments, is signed
+    too (a complete merge output is returned as is on resume)."""
+    assert _sig(deletes=["1234"]) != _sig(docids=[3761405299819282436])
+    assert _sig() != _sig(max_postings_per_slice=2000)
 
 
 def test_merge_docstore_signature_content_fingerprint(
     ray_session, tmp_path
 ):
     """An input rebuilt in place with identical stats but different text
-    must invalidate the docstore-phase resume marker (the signature now
+    must invalidate the docstore-phase checkpoint (the signature now
     fingerprints docstore part files, not just stats.json)."""
     import ray.data
 
@@ -625,7 +640,9 @@ def test_merge_docstore_signature_content_fingerprint(
     import json
 
     with open(os.path.join(dm, "manifest.json")) as f:
-        assert json.load(f)["timings"]["docstore_resumed"] is False
+        assert json.load(f)["resume"] == {
+            "docstore": "rebuilt: signature changed"
+        }
 
 
 def test_upsert_mode_validation(ray_session, tmp_path):
@@ -816,35 +833,13 @@ def test_merge_identities(ray_session, tmp_path):
     assert QueryExecutor(m3, k=8)(qb).to_pylist() == base
 
 
-def test_merge_signature_framing(tmp_path):
-    """Delete lists are length-framed in BOTH resume signatures: unframed
+def test_merge_signature_framing():
+    """Delete lists are framed in the resume signature: unframed
     concatenation made ['repo/ab','c'] and ['repo/a','bc'] hash equal —
     a resumed merge would reuse a stale docstore whose tombstone set (and
     avgdl) differ from the segments phase's."""
-    from dpr_ray.config import BM25Params
-    from dpr_ray.index.merge import _merge_signature
-
-    s1 = _merge_signature(
-        [], [], "upsert", ["repo/ab", "c"], None, BM25Params(), 16, 128
-    )
-    s2 = _merge_signature(
-        [], [], "upsert", ["repo/a", "bc"], None, BM25Params(), 16, 128
-    )
-    assert s1 != s2
-    import sys
-
-    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-    try:
-        from merge_job import _signature
-    finally:
-        sys.path.pop(0)
-    d = str(tmp_path / "i")
-    os.makedirs(d)
-    with open(os.path.join(d, "stats.json"), "w") as f:
-        f.write("{}")
-    assert _signature([d], "upsert", ["ab", "c"], False) != _signature(
-        [d], "upsert", ["a", "bc"], False
-    )
+    assert _sig(deletes=["repo/ab", "c"]) != _sig(deletes=["repo/a", "bc"])
+    assert _sig(deletes=["ab", "c"]) != _sig(deletes=["a", "bc"])
 
 
 def test_failed_remerge_invalidates_completeness(
@@ -886,10 +881,9 @@ def test_failed_remerge_invalidates_completeness(
 
 
 def test_build_resume_refuses_merged_dir(ray_session, tmp_path):
-    """A merge output's manifest carries sentinel corpus_fp/resume_sig:
+    """A merge output's manifest carries the merge's signature:
     build_index(resume=True) pointed at it must refuse loudly instead of
-    silently returning the merged stats for an unrelated corpus (None
-    fp/sig would skip both resume guards)."""
+    silently returning the merged stats for an unrelated corpus."""
     import ray.data
 
     base = corpus_mod.synth_corpus_table(25, seed=31)

@@ -17,6 +17,26 @@ def _segment_rows(index_dir):
     return sorted(d.to_table().to_pylist(), key=lambda r: (r["term"], r["slice_id"]))
 
 
+def _checkpoints(index_dir):
+    with open(os.path.join(index_dir, "checkpoints.json")) as f:
+        return json.load(f)
+
+
+def _edit_checkpoints(index_dir, edit):
+    """Hand-edit checkpoints.json on disk (simulating what a kill or an
+    old writer left): ``edit`` mutates the parsed entries in place."""
+    entries = _checkpoints(index_dir)
+    edit(entries)
+    with open(os.path.join(index_dir, "checkpoints.json"), "w") as f:
+        json.dump(entries, f)
+
+
+def _set_buckets(index_dir, buckets):
+    _edit_checkpoints(
+        index_dir, lambda e: e["segments"].update(buckets=buckets)
+    )
+
+
 def test_partition_resume_converges(ray_session, tmp_path):
     import ray.data
 
@@ -28,18 +48,17 @@ def test_partition_resume_converges(ray_session, tmp_path):
     build_index(ds(), clean, docid_strategy="hash64", partition_resume=True,
                 group_budget=25, sample_mod=1)
     assert os.path.exists(os.path.join(clean, "postings_spill"))
-    assert os.path.exists(os.path.join(clean, "segments_done.json"))
+    assert _checkpoints(clean)["segments"]["buckets"] == list(range(16))
 
     # full build, then simulate a kill after bucket 5: wipe manifest, wipe
-    # segment dirs > 5, truncate the done-bucket journal
+    # segment dirs > 5, truncate the checkpointed bucket list
     build_index(ds(), killed, docid_strategy="hash64", partition_resume=True,
                 group_budget=25, sample_mod=1)
     os.remove(os.path.join(killed, "manifest.json"))
     seg_root = os.path.join(killed, "segments")
     for b in range(6, 16):
         shutil.rmtree(os.path.join(seg_root, f"tbucket={b}"), ignore_errors=True)
-    with open(os.path.join(killed, "segments_done.json"), "w") as f:
-        json.dump({"buckets": list(range(6))}, f)
+    _set_buckets(killed, list(range(6)))
 
     stats = build_index(ds(), killed, docid_strategy="hash64", resume=True,
                         partition_resume=True, group_budget=25, sample_mod=1)
@@ -77,7 +96,7 @@ def test_partition_resume_equals_single_pass(ray_session, tmp_path):
 def test_partition_resume_refuses_stale_spill(ray_session, tmp_path):
     """The postings spill holds pre-ENCODED postings: its bytes depend on
     the segment params (k1/b/num_tbuckets/block_size) and the corpus, so
-    spill_done.json records resume_sig + corpus_fp and a resumed run whose
+    its checkpoint entry records resume_sig + corpus_fp and a resumed run whose
     params or corpus changed must refuse. Without this, a changed
     num_tbuckets reused a spill whose tbucket assignment no longer matches
     query-time term hashing — terms silently missing from results."""
@@ -96,10 +115,9 @@ def test_partition_resume_refuses_stale_spill(ray_session, tmp_path):
                 block_size=64, group_budget=20, sample_mod=1)
     # simulate a kill after the spill, mid-segments
     os.remove(os.path.join(idx, "manifest.json"))
-    with open(os.path.join(idx, "segments_done.json"), "w") as f:
-        json.dump({"buckets": list(range(4))}, f)
-    # segment-level param changed: the docstore marker passes by design
-    # (doc bytes don't depend on it) — the SPILL marker must refuse
+    _set_buckets(idx, list(range(4)))
+    # segment-level param changed: the docstore entry passes by design
+    # (doc bytes don't depend on it) — the SPILL entry must refuse
     with pytest.raises(ValueError, match="parameters"):
         build_index(ds(), idx, docid_strategy="hash64", partition_resume=True,
                     block_size=32, group_budget=20, sample_mod=1, resume=True)
@@ -117,25 +135,26 @@ def test_partition_resume_refuses_stale_spill(ray_session, tmp_path):
     build_index(ds(), clean, docid_strategy="hash64", partition_resume=True,
                 block_size=64, group_budget=20, sample_mod=1)
     assert _segment_rows(idx) == _segment_rows(clean)
-    # changed corpus with only the spill marker surviving (manifest AND
-    # docstore marker gone): the docstore would rebuild from the new corpus,
-    # so the SPILL marker's own fingerprint must refuse the stale spill
+    # changed corpus with only the spill entry surviving (manifest AND
+    # docstore entry gone): the docstore would rebuild from the new corpus,
+    # so the SPILL entry's own fingerprint must refuse the stale spill
     pq.write_table(corpus_mod.synth_corpus_table(35, seed=10),
                    str(cdir / "part.parquet"))
     os.remove(os.path.join(idx, "manifest.json"))
-    os.remove(os.path.join(idx, "docstore_done.json"))
+    _edit_checkpoints(idx, lambda e: e.pop("docstore"))
     with pytest.raises(ValueError, match="fingerprint"):
         build_index(ds(), idx, docid_strategy="hash64", partition_resume=True,
                     block_size=64, group_budget=20, sample_mod=1, resume=True)
 
 
 def test_partition_resume_rebuilds_on_bad_spill_marker(ray_session, tmp_path):
-    """A spill marker that is unparseable (pre-atomic-write kill artifact)
-    or predates signing ({"complete": true} only) is NOT user error: it is
-    treated as absent — the spill is rebuilt from the current corpus+params
-    (safe: the signed docstore marker upstream refuses corpus changes) and
-    the resumed build converges to clean-run bytes instead of crashing with
-    JSONDecodeError or silently reusing an unverifiable spill."""
+    """A spill entry in an unparseable checkpoints.json (pre-atomic-write
+    kill artifact) or without a signature ({"complete": true} only) is NOT
+    user error: it is treated as absent — the spill is rebuilt from the
+    current corpus+params (safe: the signed docstore entry upstream
+    refuses corpus changes) and the resumed build converges to clean-run
+    bytes instead of crashing with JSONDecodeError or silently reusing an
+    unverifiable spill."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -150,24 +169,31 @@ def test_partition_resume_rebuilds_on_bad_spill_marker(ray_session, tmp_path):
     clean = str(tmp_path / "clean")
     build_index(ray.data.read_parquet(str(cdir)), clean, **kw)
 
-    for bad in ('{"complete": tru', '{"complete": true}'):
+    def truncate(idx):
+        with open(os.path.join(idx, "checkpoints.json"), "w") as f:
+            f.write('{"postings_spill": {"complete": tru')
+
+    def unsign(idx):
+        _edit_checkpoints(
+            idx, lambda e: e.update(postings_spill={"complete": True})
+        )
+
+    for corrupt in (truncate, unsign):
         os.remove(os.path.join(idx, "manifest.json"))
-        with open(os.path.join(idx, "spill_done.json"), "w") as f:
-            f.write(bad)
+        corrupt(idx)
         stats = build_index(ray.data.read_parquet(str(cdir)), idx,
                             resume=True, **kw)
         assert stats["N"] == 30
         assert _segment_rows(idx) == _segment_rows(clean)
-        # the rebuilt marker is signed: a stale-params resume refuses again
-        with open(os.path.join(idx, "spill_done.json")) as f:
-            smark = json.load(f)
+        # the rebuilt entry is signed: a stale-params resume refuses again
+        smark = _checkpoints(idx)["postings_spill"]
         assert smark.get("resume_sig") and smark.get("corpus_fp")
 
 
 def test_resume_rebuilds_on_truncated_markers(ray_session, tmp_path):
-    """EVERY resume marker shares the spill marker's trust policy: a
-    truncated/unparseable file (kill landed mid-json.dump before markers
-    were written atomically) or one missing required keys reads as ABSENT
+    """EVERY resume record shares one trust policy: a truncated/unparseable
+    file (kill landed mid-json.dump before records were written
+    atomically), an unsigned entry or a non-object entry reads as ABSENT
     — the stage reruns and converges to clean bytes — instead of crashing
     the resume with JSONDecodeError/KeyError. Affirmative signature
     mismatches still refuse loudly (test_resume_refuses_changed_params)."""
@@ -185,27 +211,38 @@ def test_resume_rebuilds_on_truncated_markers(ray_session, tmp_path):
     clean = str(tmp_path / "clean")
     build_index(ray.data.read_parquet(str(cdir)), clean, **kw)
 
+    def write(fname, text):
+        def corrupt():
+            with open(os.path.join(idx, fname), "w") as f:
+                f.write(text)
+        return corrupt
+
+    def entry(key, value):
+        return lambda: _edit_checkpoints(idx, lambda e: e.update({key: value}))
+
     cases = [
-        # (marker file, bad content) — truncated json AND legacy/keyless
-        ("docstore_done.json", '{"complete": tru'),
-        ("docstore_done.json", '{"complete": true}'),  # predates signing
-        ("segments_done.json", '{"buckets": [0, 1'),
-        ("segments_done.json", '"not-an-object"'),
-        ("manifest.json", '{"complete": true, "stats": {"N"'),
+        # (record file, corruption) — truncated json, unsigned, non-object
+        ("checkpoints.json", write("checkpoints.json",
+                                   '{"docstore": {"resume_sig": tru')),
+        ("checkpoints.json", entry("docstore", {"complete": True})),
+        ("checkpoints.json", write("checkpoints.json",
+                                   '{"segments": {"buckets": [0, 1')),
+        ("checkpoints.json", entry("segments", "not-an-object")),
+        ("manifest.json", write("manifest.json",
+                                '{"complete": true, "stats": {"N"')),
     ]
-    for fname, bad in cases:
-        # fresh complete state, then corrupt exactly one marker
+    for fname, corrupt in cases:
+        # fresh complete state, then corrupt exactly one record
         stats = build_index(ray.data.read_parquet(str(cdir)), idx,
                             resume=True, **kw)
-        with open(os.path.join(idx, fname), "w") as f:
-            f.write(bad)
+        corrupt()
         if fname != "manifest.json":
-            # a complete manifest short-circuits before stage markers load
+            # a complete manifest short-circuits before checkpoints load
             os.remove(os.path.join(idx, "manifest.json"))
         stats = build_index(ray.data.read_parquet(str(cdir)), idx,
                             resume=True, **kw)
-        assert stats["N"] == 30, (fname, bad)
-        assert _segment_rows(idx) == _segment_rows(clean), (fname, bad)
+        assert stats["N"] == 30, fname
+        assert _segment_rows(idx) == _segment_rows(clean), fname
 
 
 def test_read_json_marker_policy(tmp_path):
@@ -225,9 +262,56 @@ def test_read_json_marker_policy(tmp_path):
     assert not os.path.exists(p + ".tmp")
 
 
+def test_sign_names_fields_and_ignores_their_order():
+    """The one resume signer: field order does not matter, a value never
+    signs alike under two different field names (or scopes), and numpy
+    arrays sign by dtype plus every byte (repr elides long arrays)."""
+    import numpy as np
+
+    from dpr_ray.index.manifest import sign
+
+    assert sign("s", a=1, b="x") == sign("s", b="x", a=1)
+    assert sign("s", a=1) != sign("s", b=1)
+    assert sign("s", a=1) != sign("t", a=1)
+    assert sign("s", a=1, b=2) != sign("s", a=2, b=1)
+    assert sign("s", a="1", b="") != sign("s", a="", b="1")
+    x = np.arange(5000, dtype=np.uint64)
+    y = x.copy()
+    y[2500] += 1
+    assert sign("s", ids=x) == sign("s", ids=x.copy())
+    assert sign("s", ids=x) != sign("s", ids=y)
+    assert sign("s", ids=x) != sign("s", ids=x.astype(np.int64))
+
+
+def test_unsigned_complete_manifest_rebuilds(ray_session, tmp_path):
+    """A complete manifest without resume_sig is absent under the shared
+    trust policy: build_index(resume=True) rebuilds instead of returning
+    its stats (an unsigned stage record was always rebuilt)."""
+    import ray.data
+
+    tbl = corpus_mod.synth_corpus_table(20, seed=13)
+    idx = str(tmp_path / "idx")
+    ds = lambda: ray.data.from_arrow(tbl).repartition(1)  # noqa: E731
+    build_index(ds(), idx, docid_strategy="hash64")
+    mpath = os.path.join(idx, "manifest.json")
+    with open(mpath) as f:
+        m = json.load(f)
+    m.pop("resume_sig")
+    # stale stats mark what trusting the unsigned manifest would return
+    m["stats"]["N"] = 999
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    with open(os.path.join(idx, "stats.json"), "w") as f:
+        json.dump(m["stats"], f)
+    stats = build_index(ds(), idx, docid_strategy="hash64", resume=True)
+    assert stats["N"] == 20
+    with open(mpath) as f:
+        assert json.load(f)["resume_sig"]
+
+
 def test_resume_refuses_changed_corpus(ray_session, tmp_path):
     """resume=True must not silently serve a DIFFERENT corpus: the
-    docstore marker and the manifest record a best-effort corpus
+    docstore checkpoint and the manifest record a best-effort corpus
     fingerprint (input file list + size + mtime); a resume whose input
     files don't match fails loudly instead of building segments over the
     stale docstore. tools/build_job.py defaults to resume=True, so an
@@ -255,8 +339,8 @@ def test_resume_refuses_changed_corpus(ray_session, tmp_path):
     with pytest.raises(ValueError, match="fingerprint"):
         build_index(ray.data.read_parquet(str(cdir)), idx,
                     docid_strategy="hash64", resume=True)
-    # killed-after-docstore shape (no manifest, marker survives): the
-    # docstore marker's fingerprint also refuses
+    # killed-after-docstore shape (no manifest, checkpoint survives): the
+    # docstore checkpoint's fingerprint also refuses
     os.remove(os.path.join(idx, "manifest.json"))
     with pytest.raises(ValueError, match="fingerprint"):
         build_index(ray.data.read_parquet(str(cdir)), idx,
@@ -271,7 +355,7 @@ def test_resume_refuses_changed_params(ray_session, tmp_path):
     """The corpus fingerprint alone is not enough for resume safety:
     rerunning into an existing index dir with the SAME corpus but different
     build parameters must refuse instead of silently serving (complete
-    manifest) or building on top of (docstore marker) an index that does
+    manifest) or building on top of (docstore checkpoint) an index that does
     not match the requested parameters. Segment-level params may
     legitimately change across a docstore-marker resume — the docstore
     bytes don't depend on them — so that combination rebuilds instead of
@@ -301,7 +385,7 @@ def test_resume_refuses_changed_params(ray_session, tmp_path):
     with pytest.raises(ValueError, match="parameters"):
         build_index(ds(), idx, docid_strategy="hash64", block_size=64,
                     dedup_ids=True, resume=True)
-    # killed-after-docstore shape (marker survives, no manifest): a
+    # killed-after-docstore shape (checkpoint survives, no manifest): a
     # featurize-level change refuses...
     os.remove(os.path.join(idx, "manifest.json"))
     with pytest.raises(ValueError, match="parameters"):
@@ -357,10 +441,10 @@ def test_partition_resume_removes_stale_bucket_dirs(ray_session, tmp_path):
 def test_nonpartition_rebuild_clears_partition_markers(
     ray_session, tmp_path, monkeypatch
 ):
-    """Run A completes with partition_resume=True (spill_done.json +
-    segments_done.json on disk). Run B rebuilds with
+    """Run A completes with partition_resume=True (postings_spill +
+    segments checkpoint entries on disk). Run B rebuilds with
     partition_resume=False and dies mid-segments — it must have REMOVED
-    the partition markers first: run C (partition_resume=True, resume)
+    the partition entries first: run C (partition_resume=True, resume)
     would otherwise trust a bucket journal whose segment dirs run B
     wiped, skip every bucket, and write a manifest-complete index with
     silently EMPTY segments (live-reproduced before the guard)."""
@@ -378,10 +462,9 @@ def test_nonpartition_rebuild_clears_partition_markers(
     ref = str(tmp_path / "ref")
     build_index(ray.data.from_arrow(tbl).repartition(2), d,
                 docid_strategy="hash64", partition_resume=True)
-    assert os.path.exists(os.path.join(d, "spill_done.json"))
-    assert os.path.exists(os.path.join(d, "segments_done.json"))
+    assert {"postings_spill", "segments"} <= _checkpoints(d).keys()
     # simulate run A killed AFTER the segments phase but BEFORE the
-    # manifest write: partition markers present, no completeness claim —
+    # manifest write: partition entries present, no completeness claim —
     # the state from which run B (resume=True) actually re-runs the
     # segments phase instead of early-returning
     for f in ("manifest.json", "stats.json"):
@@ -397,8 +480,7 @@ def test_nonpartition_rebuild_clears_partition_markers(
         build_index(ray.data.from_arrow(tbl).repartition(2), d,
                     docid_strategy="hash64", partition_resume=False,
                     resume=True)
-    assert not os.path.exists(os.path.join(d, "spill_done.json"))
-    assert not os.path.exists(os.path.join(d, "segments_done.json"))
+    assert not {"postings_spill", "segments"} & _checkpoints(d).keys()
     monkeypatch.setattr(iomod, "write_partitioned", real)
 
     # run C: partition resume rebuilds the spill + every bucket — the

@@ -19,11 +19,11 @@ Outputs under --out-dir:
     exceeds the broadcast budget, partition both sides by docid range
     and join per partition instead.
 
-Resume: each phase writes a `_SUCCESS` marker on completion; a re-run
-with the same --out-dir skips completed phases (so a crash between
-phases never recomputes the verdicts, and re-running never duplicates
-part files). A phase that crashed MID-write has no marker — its
-directory is cleared and rewritten.
+Resume: each phase writes a `_SUCCESS` record on completion, signed
+over the docs fingerprint and its parameters (dpr_ray.index.manifest);
+a re-run skips completed phases with the same signature. A phase that
+crashed MID-write, or whose inputs or parameters changed, is cleared and
+rewritten.
 
 In this sandbox Ray runs local-mode; the same script exercises the exact
 job path (`ray.init(address=...)` honors RAY_ADDRESS).
@@ -32,7 +32,6 @@ job path (`ray.init(address=...)` honors RAY_ADDRESS).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -81,7 +80,7 @@ def main() -> None:
     from dpr_ray._shipping import ensure_shippable
     from dpr_ray.index.build import corpus_fingerprint
     from dpr_ray.index.io import write_partitioned
-    from dpr_ray.index.manifest import read_json_marker, write_json_atomic
+    from dpr_ray.index import manifest as man
     from dpr_ray.stages.curation import curate_corpus
     from dpr_ray.stages.dedup import ngram_jaccard_pairs_hashed
     from dpr_ray.util import read_parquet_clean
@@ -110,48 +109,32 @@ def main() -> None:
 
     import shutil
 
-    # phase markers are SIGNED (the unsigned-marker class fixed for every
-    # index resume marker): a bare _SUCCESS would silently serve stale
-    # verdicts when the docs file or any curation parameter changed
-    # between runs into the same --out-dir. Mismatch → rebuild the phase
-    # (tool semantics: a re-run with new params means "recompute").
+    # signed: a bare _SUCCESS served stale verdicts when the docs or any
+    # curation parameter changed between runs into the same --out-dir
     docs_fp = corpus_fingerprint(read_parquet_clean(args.docs))
-
-    def _phase_sig(*vals) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        for v in vals:
-            b = str(v).encode()
-            h.update(len(b).to_bytes(4, "little"))
-            h.update(b)
-        return h.hexdigest()
-
-    verdict_sig = _phase_sig(
-        "verdicts", docs_fp, args.id_col, args.text_col, args.ngram_k,
-        args.ngram_threshold, args.min_quality_i6, args.min_tokens,
-        args.max_tokens,
+    verdict_sig = man.sign(
+        "verdicts", docs_fp=docs_fp, id_col=args.id_col,
+        text_col=args.text_col, ngram_k=args.ngram_k,
+        ngram_threshold=args.ngram_threshold,
+        min_quality_i6=args.min_quality_i6, min_tokens=args.min_tokens,
+        max_tokens=args.max_tokens,
     )
-    corpus_sig = _phase_sig("corpus", verdict_sig, args.corpus_buckets)
+    corpus_sig = man.sign(
+        "corpus", verdict_sig=verdict_sig, corpus_buckets=args.corpus_buckets
+    )
 
-    def phase_dir(name: str, sig: str) -> tuple[str, bool]:
-        """(path, already_done). Clears a half-written or stale phase
-        (absent, unsigned-legacy, or signature-mismatched marker)."""
+    def phase_dir(name: str, sig: str) -> tuple[str, str]:
+        """(path, resume decision); clears a half-written or stale phase."""
         d = os.path.join(args.out_dir, name)
-        marker = os.path.join(d, "_SUCCESS")
-        m = read_json_marker(marker)
-        if m is not None and m.get("signature") == sig:
-            return d, True
-        if os.path.exists(marker):
-            print(f"# {name}: marker is unsigned or inputs/params changed"
-                  " — recomputing the phase", file=sys.stderr)
-        shutil.rmtree(d, ignore_errors=True)
-        return d, False
+        done, decision = man.reuse(os.path.join(d, "_SUCCESS"), None, sig)
+        if done is None:
+            shutil.rmtree(d, ignore_errors=True)
+        return d, decision
 
     t0 = time.time()
     out: dict = {}
-    vdir, vdone = phase_dir("verdicts", verdict_sig)
-    if vdone:
-        out["verdicts"] = "resumed (marker present)"
-    else:
+    vdir, out["verdicts"] = phase_dir("verdicts", verdict_sig)
+    if out["verdicts"] != "resumed":
         docs = read_parquet_clean(
             args.docs, columns=[args.id_col, args.text_col]
         )
@@ -166,16 +149,13 @@ def main() -> None:
         )
         vstats = write_partitioned(verdicts, vdir, partition_col="keep",
                                    sum_cols=[])
-        write_json_atomic(os.path.join(vdir, "_SUCCESS"),
-                          {"signature": verdict_sig})
+        man.commit(os.path.join(vdir, "_SUCCESS"), None, verdict_sig)
         out["verdict_rows"] = vstats["rows"]
         out["verdicts_sec"] = round(time.time() - t0, 2)
 
-    cdir, cdone = (phase_dir("corpus", corpus_sig)
-                   if args.write_corpus else ("", True))
-    if args.write_corpus and cdone:
-        out["corpus"] = "resumed (marker present)"
-    if args.write_corpus and not cdone:
+    if args.write_corpus:
+        cdir, out["corpus"] = phase_dir("corpus", corpus_sig)
+    if out.get("corpus", "resumed") != "resumed":
         t1 = time.time()
         # keep=1 partition is the kept docid list — read it back (narrow,
         # already on disk) and broadcast as a sorted membership array
@@ -253,8 +233,7 @@ def main() -> None:
                 cdir, partition_col="bucket", sum_cols=[],
             )
             out["kept_rows"] = cstats["rows"]
-        write_json_atomic(os.path.join(cdir, "_SUCCESS"),
-                          {"signature": corpus_sig})
+        man.commit(os.path.join(cdir, "_SUCCESS"), None, corpus_sig)
         out["corpus_sec"] = round(time.time() - t1, 2)
 
     out["total_sec"] = round(time.time() - t0, 2)

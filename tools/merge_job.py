@@ -8,12 +8,13 @@ On a real cluster:
 Phases (each independently resumable; re-submit with the same args):
   1. delta build — ``build_index`` over ``--delta-corpus`` into
      ``<out>/.delta_index`` (skipped when ``--delta-index`` points at a
-     pre-built one); resumes via build_index's own stage markers.
+     pre-built one); resumes from build_index's own checkpoints.
   2. upsert merge — ``merge_indexes(mode="upsert")``: newest-wins docid
      arbitration + tombstones, byte-identical to rebuilding the latest
-     corpus (tests/test_merge_upsert.py). A completed merge writes
-     ``merge_done.json`` recording the input signature; a re-submit with
-     the same inputs skips it, a changed signature re-merges.
+     corpus (tests/test_merge_upsert.py). merge_indexes resumes itself:
+     a re-submit with the same inputs returns the completed merge, and
+     changed inputs (index dirs, their contents, deletes, or
+     ``--deletes-are-docids``) re-merge.
 
 The base index is never modified; chain runs for multi-delta backlogs
 (v1+d1→v2, v2+d2→v3 — the arbitration map stays delta-sized per run).
@@ -22,34 +23,12 @@ The base index is never modified; chain runs for multi-delta backlogs
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-
-def _signature(index_dirs, mode, dels, deletes_are_docids) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for d in index_dirs:
-        h.update(os.path.abspath(d).encode())
-        stats_p = os.path.join(d, "stats.json")
-        with open(stats_p, "rb") as f:
-            h.update(f.read())
-    h.update(mode.encode())
-    # the SAME deletes file means different tombstones under the flag
-    # (ext_id hashing vs raw docids) — it must invalidate the marker
-    h.update(b"docids" if deletes_are_docids else b"ext_ids")
-    for x in sorted(str(v) for v in dels):
-        # length-framed: unframed concatenation lets ['a','bc'] and
-        # ['ab','c'] collide and falsely skip a semantically different
-        # merge (same class as dpr_ray.index.merge._merge_signature)
-        b = x.encode()
-        h.update(len(b).to_bytes(4, "little"))
-        h.update(b)
-    return h.hexdigest()
 
 
 def main() -> None:
@@ -90,7 +69,6 @@ def main() -> None:
 
     from dpr_ray._shipping import ensure_shippable
     from dpr_ray.index.build import build_index
-    from dpr_ray.index.manifest import read_json_marker, write_json_atomic
     from dpr_ray.index.merge import merge_indexes
     from dpr_ray.util import read_parquet_clean
 
@@ -132,8 +110,8 @@ def main() -> None:
     # bootstrap (first refresh cycle): a base that does not exist yet is
     # skipped, so the merge runs over the delta alone — this is the
     # "missing base" path dpr_ray.index.merge's zero-input error message
-    # promises. Signature changes once the base appears, so a later run
-    # with the same out-index re-merges instead of falsely resuming.
+    # promises. The merge signature covers the input dir list, so a later
+    # run with the same out-index re-merges once the base appears.
     base_exists = os.path.exists(os.path.join(args.base_index, "stats.json"))
     if not base_exists:
         if not delta_dir:
@@ -145,26 +123,8 @@ def main() -> None:
     index_dirs = ([args.base_index] if base_exists else []) + (
         [delta_dir] if delta_dir else []
     )
-    sig = _signature(index_dirs, args.mode, dels, args.deletes_are_docids)
-    marker = os.path.join(args.out_index, "merge_done.json")
-    if not args.no_resume and os.path.exists(marker):
-        # truncated/unparseable marker = kill artifact → re-merge (the
-        # trust policy of dpr_ray.index.manifest.read_json_marker)
-        done = read_json_marker(marker)
-        if (
-            done is not None
-            and done.get("signature") == sig
-            and isinstance(done.get("stats"), dict)
-        ):
-            out["merge"] = "resumed (marker present, same inputs)"
-            out["stats"] = done["stats"]
-            print(json.dumps(out))
-            ray.shutdown()
-            return
-    if os.path.exists(marker):
-        os.remove(marker)
 
-    # ---- phase 2: merge (idempotent: outputs are wiped and rewritten)
+    # ---- phase 2: merge (resumable; outputs are otherwise rewritten)
     t0 = time.time()
     kw = {}
     if dels:
@@ -178,7 +138,6 @@ def main() -> None:
     )
     out["merge_sec"] = round(time.time() - t0, 2)
     out["stats"] = stats
-    write_json_atomic(marker, {"signature": sig, "stats": stats})
     print(json.dumps(out))
     ray.shutdown()
 
