@@ -101,7 +101,8 @@ def _cache_key(sf_dir: str) -> str:
 
 def ensure_index(sf_dir: str) -> str:
     """Build (once) the BM25 index for a testdata sf dir; reuse across
-    queries via the manifest's completeness flag (the resume path)."""
+    queries while ``is_complete`` trusts its manifest (complete and
+    signed: the resume trust policy of ``dpr_ray.index.manifest``)."""
     ensure_shippable()
     index_dir = f"/tmp/dpr_ray_cache/{ENGINE_VERSION}_{_cache_key(sf_dir)}"
     if man.is_complete(index_dir):

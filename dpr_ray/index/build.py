@@ -520,7 +520,7 @@ def build_index(
     # affirmative mismatches refuse loudly: a changed corpus or changed
     # parameters under resume=True is user error, not a kill artifact
     trust = dict(resume=resume, strict=True, corpus_fp=corpus_fp)
-    done_stats = man.resume_index(index_dir, full_sig, **trust)
+    done_stats, _ = man.resume_index(index_dir, full_sig, **trust)
     if done_stats is not None:
         return done_stats
     os.makedirs(index_dir, exist_ok=True)

@@ -26,7 +26,6 @@ import json
 import logging
 import os
 
-import numpy as np
 import pyarrow.parquet as pq
 
 log = logging.getLogger(__name__)
@@ -37,21 +36,17 @@ CHECKPOINTS = "checkpoints.json"
 def sign(scope: str, **fields) -> str:
     """Each field is tagged by its name, so differently named fields never
     collide and their order does not matter. Values hash through
-    ``repr``, numpy arrays by dtype plus raw bytes (``repr`` elides long
-    arrays). The byte layout for other values must not change: complete
-    manifests written by earlier builds verify against it."""
+    ``repr``; that byte layout must not change: complete manifests written
+    by earlier builds verify against it."""
     h = hashlib.blake2b(digest_size=16)
     h.update(scope.encode())
     for k in sorted(fields):
-        v = fields[k]
-        if isinstance(v, np.ndarray):
-            data = hashlib.blake2b(
-                np.ascontiguousarray(v).tobytes(), digest_size=16
-            ).hexdigest()
-            h.update(f"|{k}=ndarray({v.dtype.str},{v.shape},{data})".encode())
-        else:
-            h.update(f"|{k}={v!r}".encode())
+        h.update(f"|{k}={fields[k]!r}".encode())
     return h.hexdigest()
+
+
+def _signed(record) -> bool:
+    return isinstance(record, dict) and bool(record.get("resume_sig"))
 
 
 def _partition_table(root: str) -> list[dict]:
@@ -136,7 +131,7 @@ def reuse(
         entry = entry.get(key) if has_output else None
     if not resume:
         decision = "rebuilt: resume off"
-    elif not isinstance(entry, dict) or not entry.get("resume_sig"):
+    elif not _signed(entry):
         decision = "rebuilt: absent"
     else:
         if strict:
@@ -176,22 +171,23 @@ def drop(path: str, *keys: str) -> None:
 def resume_index(
     index_dir: str, sig: str, *, resume: bool, strict: bool = False,
     corpus_fp: str | None = None,
-) -> dict | None:
-    """The stats of a complete index in ``index_dir`` signed ``sig`` (the
-    caller skips its write); otherwise None, after withdrawing every
-    completeness claim before the caller mutates outputs: manifest.json,
-    stats.json (merge_indexes and SegmentStore read it without a
-    completeness check) and, on a non-resume run, every checkpoint."""
-    m, _ = reuse(
+) -> tuple[dict | None, str]:
+    """``(stats, decision)`` for ``index_dir``'s manifest: the stats of a
+    complete index signed ``sig`` (the caller skips its write), or None
+    after withdrawing every completeness claim before the caller mutates
+    outputs: manifest.json, stats.json (merge_indexes and SegmentStore
+    read it without a completeness check) and, on a non-resume run,
+    every checkpoint."""
+    m, decision = reuse(
         os.path.join(index_dir, "manifest.json"), None, sig, resume=resume,
         strict=strict, corpus_fp=corpus_fp,
     )
     if m is not None:
-        return m["stats"]
+        return m["stats"], decision
     drop(os.path.join(index_dir, "stats.json"))
     if not resume:
         drop(os.path.join(index_dir, CHECKPOINTS))
-    return None
+    return None, decision
 
 
 def write_manifest(
@@ -225,5 +221,7 @@ def read_manifest(index_dir: str) -> dict | None:
 
 
 def is_complete(index_dir: str) -> bool:
+    """The trust policy without a signature to compare: a complete
+    manifest that is signed (an unsigned one is absent, as in ``reuse``)."""
     m = read_manifest(index_dir)
-    return bool(m and m.get("complete"))
+    return _signed(m) and bool(m.get("complete"))

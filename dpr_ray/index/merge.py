@@ -186,9 +186,9 @@ def _merge_sig(
         num_tbuckets=num_tbuckets, block_size=block_size,
         max_postings_per_slice=max_postings_per_slice,
         delete_ext_ids=sorted(delete_ext_ids or []),
-        delete_docids=np.sort(np.asarray(
-            [] if delete_docids is None else delete_docids, np.uint64
-        )),
+        delete_docids=sorted(
+            int(x) for x in (() if delete_docids is None else delete_docids)
+        ),
     )
 
 
@@ -277,7 +277,12 @@ def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
     }
 
 
-def merge_indexes(
+def merge_indexes(index_dirs: list[str], out_dir: str, **kw) -> dict:
+    """The merged stats of ``merge_with_decision`` (same arguments)."""
+    return merge_with_decision(index_dirs, out_dir, **kw)[0]
+
+
+def merge_with_decision(
     index_dirs: list[str],
     out_dir: str,
     *,
@@ -289,17 +294,19 @@ def merge_indexes(
     delete_ext_ids: list[str] | None = None,
     delete_docids=None,
     resume: bool = True,
-) -> dict:
-    """Merge k built indexes into ``out_dir``. ``mode="disjoint"`` requires
-    disjoint docids; ``mode="upsert"`` arbitrates collisions newest-wins
+) -> tuple[dict, str]:
+    """Merge k built indexes into ``out_dir``; returns ``(stats,
+    decision)``. ``mode="disjoint"`` requires disjoint docids;
+    ``mode="upsert"`` arbitrates collisions newest-wins
     (``index_dirs`` ordered oldest → newest) and drops tombstones
     everywhere (docstore + every term's postings). Tombstones are
     ``delete_ext_ids`` (hash64-docid indexes) and/or ``delete_docids``
     (raw ids, for ``docid_strategy="provided"`` corpora).
 
-    ``resume=True`` returns an ``out_dir`` this same merge completed and
-    reuses its docstore after a kill mid-segments; anything else in
-    ``out_dir`` is recomputed (records and policy in ``manifest``)."""
+    ``resume=True`` returns an ``out_dir`` this same merge completed
+    (``decision`` "resumed") and reuses its docstore after a kill
+    mid-segments; anything else in ``out_dir`` is recomputed (records,
+    decisions and policy in ``manifest``)."""
     if mode not in ("disjoint", "upsert"):
         raise ValueError(f"unknown merge mode {mode!r}")
     if not index_dirs:
@@ -355,9 +362,9 @@ def merge_indexes(
         max_postings_per_slice=max_pps, delete_ext_ids=delete_ext_ids,
         delete_docids=delete_docids,
     )
-    done_stats = man.resume_index(out_dir, sig, resume=resume)
+    done_stats, out_decision = man.resume_index(out_dir, sig, resume=resume)
     if done_stats is not None:
-        return done_stats
+        return done_stats, out_decision
 
     if upsert:
         sh_ids, sh_win = _build_shadow(
@@ -369,26 +376,32 @@ def merge_indexes(
 
     keep_mask = _keep_mask  # captured as a FUNCTION (ship-by-value safe)
 
-    def _read_union(subdir: str, with_rank: bool = False):
+    def _read_union(subdir: str, per_rank=None):
         # read_parquet rejects a LIST of directories in this Ray version;
-        # read each index's dir and union (multi-source concat is native)
+        # read each index's dir and union (multi-source concat is native).
+        # per_rank(batch, rank) maps one input's batches: rank is a
+        # per-BRANCH constant (a post-union batch could mix inputs)
         parts = []
         for rank, d in enumerate(index_dirs):
             p = ray.data.read_parquet(os.path.join(d, subdir))
-            if with_rank:
-
-                def _tag(batch: pa.Table, _r: int = rank) -> pa.Table:
-                    return batch.append_column(
-                        "src_rank",
-                        pa.array(np.full(batch.num_rows, _r, np.int64)),
-                    )
-
-                p = p.map_batches(_tag, batch_format="pyarrow")
+            if per_rank is not None:
+                p = p.map_batches(lambda b, _r=rank: per_rank(b, _r),
+                                  batch_format="pyarrow")
             parts.append(p)
         ds = parts[0]
         for p in parts[1:]:
             ds = ds.union(p)
         return ds
+
+    def _tag_rank(batch: pa.Table, rank: int) -> pa.Table:
+        return batch.append_column(
+            "src_rank", pa.array(np.full(batch.num_rows, rank, np.int64))
+        )
+
+    def _doc_filter(batch: pa.Table, rank: int) -> pa.Table:
+        si, sw = ray.get(shadow_ref)
+        ids = batch["docid"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        return batch.filter(pa.array(keep_mask(ids, rank, si, sw)))
 
     out_segments = os.path.join(out_dir, "segments")
     out_docstore = os.path.join(out_dir, "docstore")
@@ -409,32 +422,9 @@ def merge_indexes(
     else:
         shutil.rmtree(out_docstore, ignore_errors=True)
         os.makedirs(out_docstore, exist_ok=True)
-        if upsert:
-            # filter per input BRANCH (rank is a per-branch constant; a
-            # post-union batch could coalesce rows of different branches)
-            parts = []
-            for rank, d in enumerate(index_dirs):
-
-                def _doc_filter(batch: pa.Table, _r: int = rank) -> pa.Table:
-                    si, sw = ray.get(shadow_ref)
-                    ids = batch["docid"].to_numpy(
-                        zero_copy_only=False
-                    ).astype(np.uint64)
-                    return batch.filter(pa.array(keep_mask(ids, _r, si, sw)))
-
-                parts.append(
-                    ray.data.read_parquet(
-                        os.path.join(d, "docstore")
-                    ).map_batches(_doc_filter, batch_format="pyarrow")
-                )
-            doc_ds = parts[0]
-            for p in parts[1:]:
-                doc_ds = doc_ds.union(p)
-            doc_ds = doc_ds.sort("docid")
-        else:
-            doc_ds = _read_union("docstore").sort("docid")
+        doc_ds = _read_union("docstore", _doc_filter if upsert else None)
         doc_stats = _write_docstore_ranged(
-            full_width(doc_ds), out_docstore, mode
+            full_width(doc_ds.sort("docid")), out_docstore, mode
         )
         if doc_stats["rows"] == 0:
             # fully-deleted corpus: keep an empty docstore file so
@@ -497,7 +487,7 @@ def merge_indexes(
     # block ranges are non-monotonic, silently breaking BMW's
     # searchsorted-over-block_last exactness. Recompute a uniform tbucket
     # from term in that case (cheap: one crc32 per SLICE row, not posting).
-    seg_ds = _read_union("segments", with_rank=upsert)
+    seg_ds = _read_union("segments", _tag_rank if upsert else None)
     if any(int(s.get("num_tbuckets", num_tbuckets)) != num_tbuckets
            for s in stats_list):
         import zlib as _zlib
@@ -558,4 +548,4 @@ def merge_indexes(
         resume_sig=sig,
         resume={"docstore": decision},
     )
-    return stats
+    return stats, out_decision

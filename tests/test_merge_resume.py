@@ -9,7 +9,7 @@ import pytest
 
 from dpr_ray import corpus as corpus_mod
 from dpr_ray.index.build import build_index
-from dpr_ray.index.merge import merge_indexes
+from dpr_ray.index.merge import merge_indexes, merge_with_decision
 from dpr_ray.index import segments as seg
 
 
@@ -215,7 +215,7 @@ def test_merge_resume_skips_complete_output(ray_session, tmp_path):
         }
 
     before = mtimes()
-    assert merge_indexes([da, db], d) == stats
+    assert merge_with_decision([da, db], d) == (stats, "resumed")
     assert mtimes() == before
     assert merge_indexes([da, db], d, resume=False) == stats
     assert mtimes() != before

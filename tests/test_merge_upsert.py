@@ -967,8 +967,15 @@ def test_merge_job_bootstrap_missing_base(tmp_path):
     assert "Failed to hash the schemas" not in r.stdout + r.stderr
     rep = _json.loads(r.stdout.strip().splitlines()[-1])
     assert rep["base"].startswith("missing")
+    assert rep["merge"] == "rebuilt: absent"
     assert rep["stats"]["N"] == 12
     assert seg.read_stats(out_index)["N"] == 12
+    # a re-submit with the same inputs reports the skipped merge
+    r = subprocess.run(cmd, cwd=str(tmp_path), capture_output=True,
+                       text=True, timeout=300, env=env)
+    assert r.returncode == 0, r.stdout + r.stderr
+    rep2 = _json.loads(r.stdout.strip().splitlines()[-1])
+    assert rep2["merge"] == "resumed" and rep2["stats"] == rep["stats"]
     # no delta and no base: loud, not a FileNotFoundError
     r2 = subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "tools", "merge_job.py"),

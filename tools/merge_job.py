@@ -11,10 +11,10 @@ Phases (each independently resumable; re-submit with the same args):
      pre-built one); resumes from build_index's own checkpoints.
   2. upsert merge — ``merge_indexes(mode="upsert")``: newest-wins docid
      arbitration + tombstones, byte-identical to rebuilding the latest
-     corpus (tests/test_merge_upsert.py). merge_indexes resumes itself:
-     a re-submit with the same inputs returns the completed merge, and
-     changed inputs (index dirs, their contents, deletes, or
-     ``--deletes-are-docids``) re-merge.
+     corpus (tests/test_merge_upsert.py). The merge resumes itself: a
+     re-submit with the same inputs returns the completed merge (the
+     report's ``"merge": "resumed"``), and changed inputs (index dirs,
+     their contents, deletes, or ``--deletes-are-docids``) re-merge.
 
 The base index is never modified; chain runs for multi-delta backlogs
 (v1+d1→v2, v2+d2→v3 — the arbitration map stays delta-sized per run).
@@ -69,7 +69,7 @@ def main() -> None:
 
     from dpr_ray._shipping import ensure_shippable
     from dpr_ray.index.build import build_index
-    from dpr_ray.index.merge import merge_indexes
+    from dpr_ray.index.merge import merge_with_decision
     from dpr_ray.util import read_parquet_clean
 
     ensure_shippable()  # standalone-tool rule: register BEFORE any UDF
@@ -132,7 +132,7 @@ def main() -> None:
             kw["delete_docids"] = [int(x) for x in dels]
         else:
             kw["delete_ext_ids"] = dels
-    stats = merge_indexes(
+    stats, out["merge"] = merge_with_decision(
         index_dirs, args.out_index, mode=args.mode,
         resume=not args.no_resume, **kw,
     )
