@@ -6,7 +6,8 @@ Headline pipeline over $GRAFT_SF_DIR (default /root/testdata/sf0.1):
      deterministic distinct docids — measures featurize + tokenize +
      salted groupby + encode + merge + write.
   2. Query throughput: $BENCH_QUERIES (default 2000) deterministic
-     vocab-sampled queries, top-10, via the actor-pool executor.
+     vocab-sampled queries, top-10, via ``search_pipeline`` (one stateless
+     query task per CPU, each with its own QueryExecutor).
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
@@ -245,7 +246,7 @@ def run_bench() -> dict:
 
 def run_scaling() -> None:
     # Default pair = N vs 4N below the single node's DRAM-bandwidth knee
-    # (the query actor pool saturates ONE box's bus at ~16 actors,
+    # (query serving saturates ONE box's bus at ~16 executors,
     # measured round 2). 4→16 measures the engine's parallel efficiency —
     # 0.903 — and is the faithful single-box proxy for adding nodes
     # (each node brings its own bus). The 8→32 pair, whose upper leg

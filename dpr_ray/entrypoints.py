@@ -69,7 +69,7 @@ _STOPLIST = ("the", "a", "an", "of", "to", "in", "and", "is", "it", "on", "for")
 
 
 from ._shipping import ensure_shippable
-from .util import auto_pool, read_parquet_clean
+from .util import auto_pool, map_per_block, read_parquet_clean
 from .util import to_i6 as _i6  # SQL ROUND (half-away) semantics
 
 # Register every dpr_ray module for by-value pickling as soon as the driver
@@ -492,11 +492,9 @@ def _qa_eval_df(sf_dir: str) -> pd.DataFrame:
             qid=str, rank="int64", docid="int64", has_answer=bool,
         )
     ans_ref = ray.put({qid: a for qid, _q, a in BM25_QUERIES})
-    joined = ray.data.from_pandas(res[["qid", "rank", "docid"]]).map_batches(
-        DocJoin,
-        fn_constructor_kwargs={"index_dir": index_dir, "columns": ["content"]},
-        batch_format="pyarrow",
-        concurrency=1,
+    joined = map_per_block(
+        ray.data.from_pandas(res[["qid", "rank", "docid"]]), DocJoin,
+        {"index_dir": index_dir, "columns": ["content"]},
     )
     alt = (
         doc_join_copartitioned(
@@ -507,11 +505,8 @@ def _qa_eval_df(sf_dir: str) -> pd.DataFrame:
         .to_pandas()
         .sort_values(["qid", "rank"], ignore_index=True)
     )
-    ds = joined.map_batches(
-        AttachHasAnswer,
-        fn_constructor_kwargs={"answers_ref": ans_ref, "match": "string"},
-        batch_format="pyarrow",
-        concurrency=1,
+    ds = map_per_block(
+        joined, AttachHasAnswer, {"answers_ref": ans_ref, "match": "string"},
     )
     out = ds.to_pandas()
     probe = out.sort_values(["qid", "rank"], ignore_index=True)
@@ -1748,29 +1743,18 @@ def q_chunk_hits(sf_dir: str):
 
     res = _chunked_results(sf_dir)
     ans_ref = ray.put({qid: a for qid, _q, a in BM25_QUERIES})
-    joined = (
+    joined = map_per_block(
         ray.data.from_pandas(
             res[["qid", "rank", "chunk_docid", "parent_docid"]].rename(
                 columns={"chunk_docid": "docid"}
             )
-        )
-        .map_batches(
-            DocJoin,
-            fn_constructor_kwargs={
-                "index_dir": ensure_chunk_index(sf_dir),
-                "columns": ["content"],
-            },
-            batch_format="pyarrow",
-            concurrency=1,
-        )
-        .map_batches(
-            AttachHasAnswer,
-            fn_constructor_kwargs={"answers_ref": ans_ref, "match": "string"},
-            batch_format="pyarrow",
-            concurrency=1,
-        )
-        .select_columns(["qid", "rank", "has_answer", "parent_docid"])
+        ),
+        DocJoin,
+        {"index_dir": ensure_chunk_index(sf_dir), "columns": ["content"]},
     )
+    joined = map_per_block(
+        joined, AttachHasAnswer, {"answers_ref": ans_ref, "match": "string"},
+    ).select_columns(["qid", "rank", "has_answer", "parent_docid"])
     out = chunk_level_hits(joined, parent_col="parent_docid").to_pandas()
     if out.empty:
         # zero-row corpus → zero retrieved chunks
@@ -1814,16 +1798,10 @@ def q_reader_etl(sf_dir: str):
     res = _bm25_results(sf_dir).copy()
     res["question"] = res["qid"].map({qid: q for qid, q, _a in BM25_QUERIES})
     ans_ref = ray.put({qid: a for qid, _q, a in BM25_QUERIES})
-    ds = ray.data.from_pandas(
-        res[["qid", "question", "rank", "docid"]]
-    ).map_batches(
+    ds = map_per_block(
+        ray.data.from_pandas(res[["qid", "question", "rank", "docid"]]),
         DocJoin,
-        fn_constructor_kwargs={
-            "index_dir": ensure_index(sf_dir),
-            "columns": ["title", "content"],
-        },
-        batch_format="pyarrow",
-        concurrency=1,
+        {"index_dir": ensure_index(sf_dir), "columns": ["title", "content"]},
     )
     return preprocess_retriever_results(ds, ans_ref, is_train=True)
 
@@ -1913,16 +1891,10 @@ def q_reader_em(sf_dir: str):
 
     res = _bm25_results(sf_dir).copy()
     res["question"] = res["qid"].map({qid: q for qid, q, _a in BM25_QUERIES})
-    joined = ray.data.from_pandas(
-        res[["qid", "question", "rank", "docid"]]
-    ).map_batches(
+    joined = map_per_block(
+        ray.data.from_pandas(res[["qid", "question", "rank", "docid"]]),
         DocJoin,
-        fn_constructor_kwargs={
-            "index_dir": ensure_index(sf_dir),
-            "columns": ["content"],
-        },
-        batch_format="pyarrow",
-        concurrency=1,
+        {"index_dir": ensure_index(sf_dir), "columns": ["content"]},
     )
 
     # an exact-answer token gets a +1.1 start-logit bonus (READER_EM_SQL's

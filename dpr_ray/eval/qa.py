@@ -137,10 +137,12 @@ def match_batch(match: str, answers: dict, qids: list, codes: list,
 
 
 class AttachHasAnswer:
-    """map_batches stage: result rows (qid, ..., content) → + has_answer.
+    """Result rows (qid, ..., content) → + has_answer. Served as a task
+    per block (``util.map_per_block``), so it fuses with the query and
+    doc-join tasks before it.
 
     ``answers_ref`` is a ray.put of {qid: [answer, ...]} — broadcast once,
-    fetched per actor/task in __init__, never re-shipped per batch."""
+    fetched once per block in __init__, never re-shipped per batch."""
 
     def __init__(self, answers_ref, match: str = "string"):
         self.answers = ray.get(answers_ref) if answers_ref is not None else {}

@@ -12,7 +12,7 @@ from ._shipping import ensure_shippable
 from .config import DEFAULT_TOP_K
 from .eval import qa
 from .query.executor import search_pipeline
-from .util import auto_pool
+from .util import map_per_block
 
 
 def retrieve_and_evaluate(
@@ -29,8 +29,9 @@ def retrieve_and_evaluate(
     Result Dataset rows: qid, question, rank, docid, score, ext_id, title,
     content, has_answer — the flattened form of the reference's output JSON.
     Metrics replicate ``top_k_hits`` accuracy (``qa_validation.py:72-79``).
-    Nothing after retrieval shuffles: answer matching is per batch, and
-    the metrics and the results JSON reduce on the driver.
+    Nothing after retrieval shuffles: answer matching is a task per block
+    that fuses with the query and doc-join tasks (one operator, no actor),
+    and the metrics and the results JSON reduce on the driver.
     """
     ensure_shippable()
     answers_map = {
@@ -45,11 +46,9 @@ def retrieve_and_evaluate(
         qds, index_dir, k=k, method=method, concurrency=concurrency,
         with_docs=True, doc_columns=["ext_id", "title", "content"],
     )
-    res = res.map_batches(
-        qa.AttachHasAnswer,
-        fn_constructor_kwargs={"answers_ref": answers_ref, "match": match},
-        batch_format="pyarrow",
-        concurrency=auto_pool(0.5),
+    res = map_per_block(
+        res, qa.AttachHasAnswer, {"answers_ref": answers_ref, "match": match},
+        concurrency,
     )
     # result set is query-scale (n_queries × k rows): pin it so metrics and
     # the results sink don't recompute the whole retrieval

@@ -1,11 +1,12 @@
-"""Query execution: stateful actor-pool top-k BM25 (SURVEY §7 M4).
+"""Query execution: exact top-k BM25 as stateless tasks (SURVEY §7 M4).
 
 Ray-Data restatement of the reference's retrieval stage
 (``DenseFlatIndexer.search_knn``, ``dpr/indexer/faiss_indexers.py:107-112``,
 called from ``dense_retriever.py:168-179,596``): instead of a driver-resident
-FAISS index, a ``map_batches`` actor pool (``QueryExecutor``) where each actor
-lazily loads + caches posting lists from the term-partitioned segment store
-(ST3/ST6 mapping) and answers exact top-k.
+FAISS index, ``search_pipeline`` splits the queries into one block per CPU
+and maps a task over each; the task builds a ``QueryExecutor``, which
+lazily loads + caches posting lists from the term-partitioned segment
+store (ST3/ST6 mapping) and answers exact top-k for the whole block.
 
 Three exact, rank-identical scoring paths:
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import os
 from collections import Counter, OrderedDict
 
@@ -50,9 +50,7 @@ import pyarrow.dataset as pads
 
 from .. import analyzer, codec
 from ..config import BM25Params, DEFAULT_TOP_K
-from ..util import auto_pool
-
-log = logging.getLogger(__name__)
+from ..util import full_width, map_per_block
 from ..index import segments as seg
 from . import scorer
 
@@ -61,9 +59,9 @@ import ray as _ray
 
 
 class SegmentStore:
-    """Per-actor view of an index: stats + LRU-cached posting lists.
+    """Per-executor view of an index: stats + LRU-cached posting lists.
 
-    Cache layers (all per actor, shared across batches):
+    Cache layers (all per executor, shared across batches):
     - whole term buckets as Arrow tables, sorted by (term, slice_id), + a
       term → row range map: the first miss in a bucket reads it with one
       partition-pruned scan, and every later miss there is a zero-copy
@@ -72,7 +70,7 @@ class SegmentStore:
     - decoded + pre-scored arrays per term: (docids, float64 contributions,
       upper bound) — contributions depend only on (tf, dl, df, N, avgdl),
       all fixed for an index, so repeated terms across queries cost nothing;
-      each actor fills it on first touch of a term
+      each executor fills it on first touch of a term
     - impact permutations per head term (``impact``)
     - dense docid → position maps per head term (``posmap``)
     """
@@ -89,7 +87,7 @@ class SegmentStore:
         # exact. Collection stats (df, N, avgdl) intentionally keep their
         # index-time values until a real merge, exactly like Lucene
         # deletes. Accepts a sequence or a ray.ObjectRef (one ray.put,
-        # zero-copy plasma read per actor).
+        # zero-copy plasma read per executor).
         self.banned: np.ndarray | None = None
         if banned_docids is not None:
             if isinstance(banned_docids, _ray.ObjectRef):
@@ -97,16 +95,17 @@ class SegmentStore:
             b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
             if len(b):
                 self.banned = b
-        # Per-actor cache ceiling, overridable for large-corpus deployments
+        # Per-executor cache ceiling, overridable for large-corpus deployments
         # (env knob follows the DPR_BATCH_ACCUM_MB convention). Combined
-        # worst-case per-actor footprint over the four layers ≈ scored
+        # worst-case per-executor footprint over the four layers ≈ scored
         # (≤ cache_postings elements × ~20 B: int64 docid + float64
         # contribution + overhead) + impact perms (≤ cache_postings × 4 B
         # int32) + posmaps (≤ 3×cache_postings × 4 B) + resident term
         # buckets (≤ cache_postings encoded postings, ~4 B each, plus the
         # bucket just read) ≈ 4 GB at the 120M default — times the
-        # query-pool size; shrink DPR_CACHE_POSTINGS (or the pool) when
-        # corpus × actors exceeds node DRAM.
+        # executors serving at once (one per CPU under search_pipeline);
+        # shrink DPR_CACHE_POSTINGS (or cap ``concurrency``) when
+        # corpus × executors exceeds node DRAM.
         if cache_postings is None:
             cache_postings = int(
                 os.environ.get("DPR_CACHE_POSTINGS", 120_000_000)
@@ -132,8 +131,8 @@ class SegmentStore:
         self._posmap: OrderedDict[str, np.ndarray] = OrderedDict()
         self._posmap_total = 0
         # doc-sharded mode: this store only ever DECODES blocks intersecting
-        # [lo, hi) — a hot posting list costs df/n_shards heap per actor, the
-        # lever for corpora whose head terms exceed a worker's memory. df for
+        # [lo, hi) — a hot posting list costs df/n_shards heap per executor,
+        # the lever for corpora whose head terms exceed a worker's memory. df for
         # idf stays GLOBAL (scores must match the unsharded engine bitwise).
         if docid_range is not None:
             lo_r, hi_r = int(docid_range[0]), int(docid_range[1])
@@ -191,7 +190,7 @@ class SegmentStore:
         default 32 MB ≈ 4M docs): below that the term arrays are
         cache-resident anyway (measured ~1.1x at 500k docs) while the
         (g × dense_size) scratch costs g × dense_size × 8 B of one-time
-        first-touch page faults per actor — a real regression on
+        first-touch page faults per executor — a real regression on
         fault-throttled hosts. Above it, per-query streams dwarf cache and
         the amortization is the win the docstring describes."""
         if not self.dense_size:
@@ -203,7 +202,7 @@ class SegmentStore:
         return max(1, min(16, budget // (self.dense_size * 8)))
 
     def dense_buffers_multi(self, g: int):
-        """(g, dense_size) float64 zeroed scratch (persistent per actor —
+        """(g, dense_size) float64 zeroed scratch (persistent per executor —
         first-touch page faults are paid once) + the shared id map."""
         if self._multi_buf is None or self._multi_buf.shape[0] < g:
             self._multi_buf = np.zeros(
@@ -218,7 +217,7 @@ class SegmentStore:
         block_offsets)`` — full float64-scored arrays PLUS per-block
         metadata (conservative contribution bounds + offsets into the
         decoded arrays) so the block-pruned executor can skip ranges
-        without re-fetching. Decode + score happen once per term per actor
+        without re-fetching. Decode + score happen once per term per executor
         (LRU by postings)."""
         hit = self._scored.get(term)
         if hit is not None:
@@ -319,7 +318,7 @@ class SegmentStore:
     def impact(self, term: str) -> np.ndarray | None:
         """Impact permutation for one term: posting indices ordered by
         (-contribution, docid) — descending score impact. Computed once per
-        term per actor (one lexsort, ~100 ms at df=1.2M) and LRU-cached:
+        term per executor (one lexsort, ~100 ms at df=1.2M) and LRU-cached:
         the amortized key to sub-linear head-only queries, where streaming
         the full posting list is pure memory-bus traffic."""
         p = self._impact.get(term)
@@ -343,7 +342,7 @@ class SegmentStore:
         absent; dense docid spaces only). Turns candidate membership tests
         from binary searches over a multi-MB docid array into single
         random loads — the per-candidate cost lever of impact-ordered
-        expansion. Cached per term per actor (dense_size × 4 bytes)."""
+        expansion. Cached per term per executor (dense_size × 4 bytes)."""
         if not self.dense_size:
             return None
         p = self._posmap.get(term)
@@ -567,7 +566,7 @@ def _dense_topk_extract(
     """Top-k + reset over an accumulated dense buffer — the single source
     of truth for both the per-query and the batched term-major TAAT paths
     (shared code = shared bitwise behavior). ``scratch`` (partition copy +
-    two bool masks, persistent per actor) makes the dense-size-sized
+    two bool masks, persistent per executor) makes the dense-size-sized
     temporaries allocation-free — identical values, no per-query mmap
     page-fault cycle."""
     # top-k over the touched (positive) entries only: compress the
@@ -1092,9 +1091,11 @@ def _check_method(method: str) -> None:
 
 
 class QueryExecutor:
-    """map_batches actor: (qid, question) rows → (qid, question, rank, docid,
-    score) top-k rows. Segment fetch is batched across the queries of a batch
-    and LRU-cached across batches (per actor)."""
+    """(qid, question) rows → (qid, question, rank, docid, score) top-k
+    rows. Segment fetch is batched across the queries of a batch and
+    LRU-cached across batches of the same executor. ``search_pipeline``
+    builds one per block of queries (a stateless task); the serial loops
+    keep one in-process across calls."""
 
     def __init__(
         self,
@@ -1287,10 +1288,10 @@ class DocJoin:
     the batch's unique docids; the docstore is written docid-SORTED, so
     pyarrow prunes row groups by min/max stats (docid-range pruning).
 
-    Scale trade-off: this probe shape streams inside a warm pipeline
-    (no shuffle barrier, pool already up), but at bulk result volume
-    every batch re-scans overlapping row groups and a one-shot use pays
-    pool spawn. For one-shot or bulk joins use
+    Scale trade-off: this probe shape streams inside the serving
+    execution (a task per block, fused with the query tasks, no shuffle
+    barrier), but at bulk result volume every block re-scans overlapping
+    row groups. For bulk joins use
     ``doc_join_copartitioned`` — one shuffle of the (small) result rows
     by the docstore's own part-file ranges, then each docstore file is
     scanned once per run, not once per batch (measured 7× at 2k AND
@@ -1350,11 +1351,11 @@ def doc_join_copartitioned(results_ds, index_dir: str, columns=None):
     (qid, rank, docid, ...), never document text.
 
     Measured (BASELINE.md round 4, 100k-doc docstore): 7× faster than
-    the probe for ONE-SHOT joins at both 2k and 200k result rows — the
-    probe pays actor-pool spawn per run and re-probes row groups per
-    batch. The probe remains the right shape INSIDE a warm streaming
-    pipeline (``search_pipeline(with_docs=True)`` default): its pool is
-    already up, and it streams results as they arrive instead of
+    the probe for ONE-SHOT joins at both 2k and 200k result rows, when
+    the probe paid actor-pool spawn per run and re-probed row groups per
+    batch. The probe remains the right shape INSIDE a streaming serving
+    call (``search_pipeline(with_docs=True)`` default): it fuses with the
+    query tasks and streams results as they arrive instead of
     inserting a shuffle barrier."""
     from .._shipping import ensure_shippable
 
@@ -1468,51 +1469,6 @@ def doc_join_copartitioned(results_ds, index_dir: str, columns=None):
     )
 
 
-# CPUs the query pools' minimums leave free: one for upstream tasks (the
-# queries' read or repartition shuffle, the sharded per-qid merge) and one
-# each for the minimum actor of the downstream pools a serving call may
-# chain on (DocJoin, retrieve_and_evaluate's AttachHasAnswer).
-_CPUS_LEFT_BY_QUERY_POOLS = 3
-
-
-def _shard_concurrency(caller, total_cpus: int, doc_shards: int):
-    """(min, max) actor bounds for each of the ``doc_shards`` query pools
-    (one pool when unsharded) — the one sizing rule for every
-    ``search_pipeline`` call.
-
-    Default: an autoscaling pool from 1 up to the bandwidth cap
-    ``min(total-1, max(8, total//2))``, split across the shards. Dense
-    scoring is memory-bandwidth-bound — measured 892 QPS at 16 actors vs
-    834 at 31 on a 32-CPU node (500k docs) — so actors past half the
-    node only add spawn cost. (Per NODE: on a multi-node cluster each
-    node brings its own memory bus.)
-
-    ``caller`` (the ``search_pipeline(concurrency=...)`` value) applies to
-    EACH pool, but its MINIMUM is clamped so the pools' summed minimums
-    leave ``_CPUS_LEFT_BY_QUERY_POOLS`` CPUs free: pool minimums are held
-    reservations, and minimums that hold every CPU starve the upstream
-    shuffle or the downstream pools of the same streaming execution — a
-    real measured deadlock (an actor pool after a shuffle at 4 CPUs;
-    ``search_pipeline(with_docs=True)`` over a repartitioned query set
-    with a ``(3, 3)`` pool at 4 CPUs never finished). Pool MAXIMUMS are
-    autoscaling demand, not held reservations, so the caller's max passes
-    through."""
-    bandwidth_cap = max(1, min(total_cpus - 1, max(8, total_cpus // 2)))
-    if caller is None:
-        return (1, max(1, bandwidth_cap // doc_shards))
-    cap = max(1, (total_cpus - _CPUS_LEFT_BY_QUERY_POOLS) // doc_shards)
-    cmin, cmax = (caller, caller) if isinstance(caller, int) else caller
-    if cmin > cap:
-        log.warning(
-            "%d query pool(s) with min concurrency %d would reserve %d CPUs "
-            "of %d and starve the stages around them — clamping each "
-            "pool's minimum to %d",
-            doc_shards, cmin, cmin * doc_shards, total_cpus, cap,
-        )
-        cmin = cap
-    return (cmin, max(cmax, cmin))
-
-
 def search_pipeline(
     queries_ds,
     index_dir: str,
@@ -1528,15 +1484,21 @@ def search_pipeline(
     """queries Dataset (qid, question) → top-k result Dataset
     (qid, question, rank, docid, score [, doc columns]).
 
-    One streaming execution: ``map_batches(QueryExecutor)`` (per shard,
-    see below), then the optional doc join. Every executor actor decodes
-    and scores each term on its first touch and keeps it in its scored
-    LRU. ``concurrency`` sizes each query pool; ``_shard_concurrency``
-    holds the one rule (default: autoscaling from 1 to the bandwidth cap).
+    One streaming execution of stateless tasks (``util.map_per_block``):
+    the queries are split into one block per cluster CPU (per CPU a shard
+    may take when sharded), and each task builds one ``QueryExecutor``
+    and answers its whole block; the optional doc join is a task per
+    block too and fuses with it. Each task holds the state one pool actor
+    held and pays the same one cold start (first decode and scoring of
+    each term it touches) per CPU per call, but nothing is spawned: the
+    tasks start on the session's warm workers. Fewer blocks than CPUs
+    leave CPUs idle; more make each block pay its own cold executor.
+    ``concurrency`` caps concurrent serving tasks (an int, or a tuple's
+    max).
 
     Known cost of serving without a cluster-wide warm-up: there is no
     decode-once-per-cluster broadcast of scored entries and head-term
-    impact permutations any more, so each actor pays its own first decode
+    impact permutations any more, so each task pays its own first decode
     and lexsort of a head term. The removed broadcast was credited with
     84.4 → 63.2 s on 1.5M docs at 32 CPUs (BASELINE round 2) and 3.2× on
     5M-doc tombstoned serving; no benchmark workload reaches that size,
@@ -1550,8 +1512,8 @@ def search_pipeline(
     collection stats stay index-time until the merge, as in Lucene.
 
     ``doc_shards=S``: doc-sharded execution for corpora whose hot posting
-    lists exceed a worker's heap — S executor pools each own a docid RANGE
-    and decode ONLY blocks intersecting it (per-actor heap ~ df/S per hot
+    lists exceed a worker's heap — S executor maps each own a docid RANGE
+    and decode ONLY blocks intersecting it (per-task heap ~ df/S per hot
     term); per-shard top-k merge by qid with the exact (-score, docid)
     order. Bitwise-identical to the unsharded path (a doc's postings live
     in exactly one shard, so per-doc float summation is unchanged);
@@ -1572,20 +1534,18 @@ def search_pipeline(
     if banned_docids is not None:
         b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
         if len(b):
-            banned_ref = ray.put(b)  # one put; zero-copy read per actor
+            banned_ref = ray.put(b)  # one put; zero-copy read per task
     shards = doc_shards if doc_shards and doc_shards > 1 else 1
     exec_kwargs = {
         "index_dir": index_dir, "k": k, "method": method,
         "banned_docids": banned_ref,
     }
-    pool = _shard_concurrency(concurrency, total, shards)
+    # full_width: with per-operator reservation on, the map behind the
+    # repartition barrier started one task, and the other three 0.5 s
+    # later (1,000 queries at 4 CPUs: call 1.2-1.3 s; off: 0.7-0.9 s)
+    queries_ds = full_width(queries_ds.repartition(max(1, total // shards)))
     if shards == 1:
-        res = queries_ds.map_batches(
-            QueryExecutor,
-            fn_constructor_kwargs=exec_kwargs,
-            batch_format="pyarrow",
-            concurrency=pool,
-        )
+        res = map_per_block(queries_ds, QueryExecutor, exec_kwargs, concurrency)
     else:
         stats = seg.read_stats(index_dir)
         if "max_docid" not in stats:
@@ -1607,12 +1567,7 @@ def search_pipeline(
             kw = dict(exec_kwargs)
             kw["docid_range"] = (edges[s], edges[s + 1])
             shard_res.append(
-                queries_ds.map_batches(
-                    QueryExecutor,
-                    fn_constructor_kwargs=kw,
-                    batch_format="pyarrow",
-                    concurrency=pool,
-                )
+                map_per_block(queries_ds, QueryExecutor, kw, concurrency)
             )
         res = shard_res[0]
         for r in shard_res[1:]:
@@ -1641,12 +1596,8 @@ def search_pipeline(
         if doc_join_mode == "copartition":
             res = doc_join_copartitioned(res, index_dir, columns=doc_columns)
         else:
-            res = res.map_batches(
-                DocJoin,
-                fn_constructor_kwargs={
-                    "index_dir": index_dir, "columns": doc_columns,
-                },
-                batch_format="pyarrow",
-                concurrency=auto_pool(0.5),
+            res = map_per_block(
+                res, DocJoin, {"index_dir": index_dir, "columns": doc_columns},
+                concurrency,
             )
     return res

@@ -75,6 +75,27 @@ def auto_pool(frac: float = 1.0) -> tuple[int, int]:
     return (1, max(2, int(n * frac)))
 
 
+def map_per_block(ds, cls, kwargs: dict, concurrency=None):
+    """``ds.map_batches`` of ``cls`` as a stateless task per block: each
+    task builds one ``cls(**kwargs)`` and calls it on its whole block.
+    Tasks run on the session's warm workers, so nothing is spawned, held
+    or autoscaled, and chained calls fuse into one operator; the state one
+    actor held lives for one block. ``concurrency`` caps concurrent tasks
+    (an int, or a tuple's max). The task takes ``cls``'s name, so
+    ``Dataset.stats()`` names the operator as it named a pool of ``cls``."""
+
+    def task(batch, **kw):
+        return cls(**kw)(batch)
+
+    task.__name__ = cls.__name__
+    if isinstance(concurrency, tuple):
+        concurrency = max(concurrency)
+    return ds.map_batches(
+        task, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=None,
+        concurrency=concurrency,
+    )
+
+
 def round_half_away(x, decimals: int = 6) -> np.ndarray:
     """Round half AWAY from zero (SQL ROUND semantics; numpy rounds half to
     even — the two disagree exactly on .5 boundaries, which ratio-valued

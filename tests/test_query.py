@@ -677,31 +677,70 @@ def test_search_pipeline_sharded_validation(setup, ray_session, tmp_path):
         qe.search_pipeline(qds, d2, doc_shards=2)
 
 
-def test_shard_concurrency_clamps_minimums():
-    """One sizing rule for every query pool, sharded or not. Caller
-    concurrency applies per pool, but pool MINIMUMS must leave CPUs for
-    the stages around them: upstream tasks (the queries' shuffle, the
-    per-qid top-k merge) and the minimums of the downstream DocJoin and
-    AttachHasAnswer pools in the same streaming execution — held
-    minimums starve them (the measured actor-pool-after-shuffle
-    deadlock). Maximums are autoscaling demand and pass through."""
-    from dpr_ray.query.executor import _shard_concurrency
+def _actor_ids() -> set:
+    """Every actor of the session, alive or dead. ``ray.util.state``
+    reads through the dashboard, which the test session leaves off; the
+    GCS actor table it would read is queried directly."""
+    from ray._private import state
 
-    # default: 1 .. min(total-1, max(8, total//2)) // shards
-    assert _shard_concurrency(None, 4, 1) == (1, 3)
-    assert _shard_concurrency(None, 32, 1) == (1, 16)
-    assert _shard_concurrency(None, 2, 1) == (1, 1)
-    assert _shard_concurrency(None, 16, 4) == (1, 2)
-    assert _shard_concurrency(None, 4, 2) == (1, 1)
-    # explicit tuple within budget: untouched
-    assert _shard_concurrency((1, 2), 4, 2) == (1, 2)
-    assert _shard_concurrency((2, 8), 16, 4) == (2, 8)
-    assert _shard_concurrency((4, 4), 16, 1) == (4, 4)
-    # min over budget: clamped, max preserved
-    assert _shard_concurrency((8, 8), 16, 4) == (3, 8)
-    assert _shard_concurrency((3, 3), 4, 1) == (1, 3)
-    assert _shard_concurrency((16, 16), 16, 1) == (13, 16)
-    # int = fixed pool: min clamped, original size stays the max
-    assert _shard_concurrency(8, 16, 4) == (3, 8)
-    # degenerate tiny cluster: min never below 1
-    assert _shard_concurrency((4, 4), 2, 3) == (1, 4)
+    return set(state.actors())
+
+
+def test_serving_starts_no_actor(setup, tmp_path):
+    """search_pipeline(with_docs=True) and retrieve_and_evaluate serve as
+    stateless tasks: the query, doc-join and has_answer stages start no
+    actor (an actor pool spawned one per call and stage)."""
+    import pyarrow as pa
+    import ray.data
+
+    from dpr_ray import pipelines
+
+    index_dir, _oracle = setup
+    ray.data.range(1).materialize()  # Ray Data's own session actors
+    before = _actor_ids()
+    qs = [q for q in QUERIES if q]
+    qids = [f"q{i}" for i in range(len(qs))]
+    rows = search_pipeline(
+        ray.data.from_arrow(pa.table({"qid": qids, "question": qs})),
+        index_dir, k=5, with_docs=True,
+    ).take_all()
+    res, metrics = pipelines.retrieve_and_evaluate(
+        pa.table({"qid": qids, "question": qs, "answers": [["def"]] * len(qs)}),
+        index_dir, k=5, out_json=str(tmp_path / "results.json"),
+    )
+    assert rows and res.count() == len(rows)
+    assert metrics["top_k_hits"][-1] > 0
+    assert _actor_ids() == before
+
+
+@pytest.mark.parametrize("setup_name,method", [
+    ("setup_dense", "maxscore"), ("setup", "taat"), ("setup", "bmw"),
+])
+def test_sharded_and_banned_tasks_match_in_process(
+    setup_name, method, request
+):
+    """The doc_shards=2 and banned_docids task paths return exactly the
+    rows of one in-process QueryExecutor over the same queries."""
+    import pyarrow as pa
+    import ray.data
+
+    index_dir, oracle = request.getfixturevalue(setup_name)
+    qs = [q for q in QUERIES if q]
+    tbl = pa.table({"qid": [f"q{i}" for i in range(len(qs))], "question": qs})
+    banned = [d for q in ("def return", "rare_tok_3")
+              for d, _ in oracle.top_k(q, 2)]
+    cols = ["qid", "rank", "docid", "score"]
+
+    def sort(df):
+        return df.sort_values(["qid", "rank"], ignore_index=True)[cols]
+
+    for kw in ({"doc_shards": 2}, {"banned_docids": banned}):
+        got = search_pipeline(
+            ray.data.from_arrow(tbl), index_dir, k=8, method=method, **kw
+        ).to_pandas()
+        want = qe.QueryExecutor(
+            index_dir, k=8, method=method,
+            banned_docids=kw.get("banned_docids"),
+        )(tbl).to_pandas()
+        assert len(want) > 0
+        assert sort(got).equals(sort(want)), (method, kw)
