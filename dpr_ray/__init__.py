@@ -4,9 +4,10 @@ From-scratch engine with the query and data-processing capabilities of
 facebookresearch/DPR (reference at /root/reference), re-expressed as
 ray.data.Dataset pipelines: map_batches tokenizers over zero-copy Arrow
 batches emit (term, docid, tf) postings, a salted groupby(term) shuffle
-builds delta+varint-compressed block-max posting lists, and stateful
-actor-pool query executors answer top-k via exact BM25 scoring
-(vectorized term-at-a-time and block-max WAND paths, rank-identical).
+builds delta+varint-compressed block-max posting lists, and query
+executors, one stateless task per block of queries, answer top-k via
+exact BM25 scoring (vectorized term-at-a-time and block-max WAND paths,
+rank-identical).
 
 Layout:
   analyzer   — DPR SimpleTokenizer-compatible analyzer (the "analyzer contract")
@@ -14,7 +15,7 @@ Layout:
   config     — BM25 parameters and engine constants
   corpus     — deterministic corpus synthesis (input_hint schema)
   index/     — build, segments, merge
-  query/     — scorer, executor (actor pool), brute-force oracle
+  query/     — scorer, executor (a task per query block), brute-force oracle
   eval/      — has_answer validation, top-k-hits metrics, results sink
   sources/   — DPR-shaped query/ctx sources (TSV/JSONL)
   stages/    — training-data ops: dedup, ANN, text analysis, windows, multimodal

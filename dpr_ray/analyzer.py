@@ -48,7 +48,7 @@ def tokenize(text: str | None) -> list[str]:
 
     ``None`` yields zero tokens (SQL null-text semantics): a null question
     in a parquet query log must return no results, not kill the serving
-    actor deep in ``unicodedata.normalize``. The index build still REJECTS
+    task deep in ``unicodedata.normalize``. The index build still REJECTS
     null content loudly (``stages/featurize.py`` — a null document has no
     sha256, so silently indexing it would hide corpus corruption)."""
     if text is None:

@@ -69,7 +69,7 @@ _STOPLIST = ("the", "a", "an", "of", "to", "in", "and", "is", "it", "on", "for")
 
 
 from ._shipping import ensure_shippable
-from .util import auto_pool, map_per_block, read_parquet_clean
+from .util import map_per_block, read_parquet_clean
 from .util import to_i6 as _i6  # SQL ROUND (half-away) semantics
 
 # Register every dpr_ray module for by-value pickling as soon as the driver
@@ -3234,16 +3234,9 @@ def q_media_resize(sf_dir: str):
     media = corpus_from_documents(sf_dir).map_batches(
         synth_media_batch, batch_format="pyarrow"
     )
-    return media.map_batches(
-        Resize,
-        fn_constructor_kwargs={
-            "target_w": MEDIA_RESIZE_W, "target_h": MEDIA_RESIZE_H,
-            "fake": True,
-        },
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=auto_pool(0.5),
-    )
+    return map_per_block(media, Resize, {
+        "target_w": MEDIA_RESIZE_W, "target_h": MEDIA_RESIZE_H, "fake": True,
+    })
 
 
 def q_media_frames(sf_dir: str):
@@ -3254,13 +3247,7 @@ def q_media_frames(sf_dir: str):
     media = corpus_from_documents(sf_dir).map_batches(
         synth_media_batch, batch_format="pyarrow"
     )
-    return media.map_batches(
-        FrameSample,
-        fn_constructor_kwargs={"every": FRAME_EVERY, "fake": True},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=auto_pool(0.5),
-    )
+    return map_per_block(media, FrameSample, {"every": FRAME_EVERY, "fake": True})
 
 
 MEDIA_RESIZE_SQL = f"""

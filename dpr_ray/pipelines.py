@@ -22,7 +22,6 @@ def retrieve_and_evaluate(
     match: str = "string",
     method: str = "taat",
     out_json: str | None = None,
-    concurrency=None,
 ):
     """queries table (qid, question, answers) → (result Dataset, metrics).
 
@@ -43,12 +42,11 @@ def retrieve_and_evaluate(
     answers_ref = ray.put(answers_map)
     qds = ray.data.from_arrow(queries.select(["qid", "question"]))
     res = search_pipeline(
-        qds, index_dir, k=k, method=method, concurrency=concurrency,
+        qds, index_dir, k=k, method=method,
         with_docs=True, doc_columns=["ext_id", "title", "content"],
     )
     res = map_per_block(
-        res, qa.AttachHasAnswer, {"answers_ref": answers_ref, "match": match},
-        concurrency,
+        res, qa.AttachHasAnswer, {"answers_ref": answers_ref, "match": match}
     )
     # result set is query-scale (n_queries × k rows): pin it so metrics and
     # the results sink don't recompute the whole retrieval

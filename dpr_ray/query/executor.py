@@ -104,8 +104,8 @@ class SegmentStore:
         # buckets (≤ cache_postings encoded postings, ~4 B each, plus the
         # bucket just read) ≈ 4 GB at the 120M default — times the
         # executors serving at once (one per CPU under search_pipeline);
-        # shrink DPR_CACHE_POSTINGS (or cap ``concurrency``) when
-        # corpus × executors exceeds node DRAM.
+        # shrink DPR_CACHE_POSTINGS when corpus × executors exceeds
+        # node DRAM.
         if cache_postings is None:
             cache_postings = int(
                 os.environ.get("DPR_CACHE_POSTINGS", 120_000_000)
@@ -1291,11 +1291,14 @@ class DocJoin:
     Scale trade-off: this probe shape streams inside the serving
     execution (a task per block, fused with the query tasks, no shuffle
     barrier), but at bulk result volume every block re-scans overlapping
-    row groups. For bulk joins use
-    ``doc_join_copartitioned`` — one shuffle of the (small) result rows
-    by the docstore's own part-file ranges, then each docstore file is
-    scanned once per run, not once per batch (measured 7× at 2k AND
-    200k result rows, BASELINE.md round 4)."""
+    row groups. ``doc_join_copartitioned`` shuffles the (small) result
+    rows by the docstore's own part-file ranges instead, so each
+    docstore file is scanned once per run. One-shot joins, this probe
+    vs that shape (min of 5, two runs; details in its docstring): on a
+    50k-doc docstore 0.16–0.18 vs 0.25–0.26 s at 2k result rows and
+    0.27–0.31 vs 0.40–0.41 s at 200k; on a 200k-doc docstore 0.40–0.41
+    vs 0.31–0.33 s and 0.52–0.53 vs 0.46 s. Each wins on one side, and
+    no benchmark workload joins on the bulk side, so both stay."""
 
     def __init__(self, index_dir: str, columns: list[str] | None = None):
         self.columns = columns or ["ext_id", "title", "content"]
@@ -1350,13 +1353,17 @@ def doc_join_copartitioned(results_ds, index_dir: str, columns=None):
     every result batch. The shuffle moves only the narrow result rows
     (qid, rank, docid, ...), never document text.
 
-    Measured (BASELINE.md round 4, 100k-doc docstore): 7× faster than
-    the probe for ONE-SHOT joins at both 2k and 200k result rows, when
-    the probe paid actor-pool spawn per run and re-probed row groups per
-    batch. The probe remains the right shape INSIDE a streaming serving
-    call (``search_pipeline(with_docs=True)`` default): it fuses with the
-    query tasks and streams results as they arrive instead of
-    inserting a shuffle barrier."""
+    Measured against the probe as a task per block (one-shot joins of
+    random docids in 4 result blocks, min of 5 in each of two runs,
+    1 vCPU, Ray given 4 CPUs): on a 50k-doc docstore the probe wins,
+    0.16–0.18 s vs 0.25–0.26 s at 2k result rows and 0.27–0.31 s vs
+    0.40–0.41 s at 200k; on a 200k-doc docstore this shape wins,
+    0.31–0.33 s vs 0.40–0.41 s at 2k rows and 0.46 s vs 0.52–0.53 s at
+    200k. (The 7× once recorded in BASELINE.md round 4 was against a
+    probe that paid actor-pool spawn per run.) The probe stays the
+    default INSIDE a streaming serving call (``search_pipeline(
+    with_docs=True)``): it fuses with the query tasks and streams
+    results as they arrive instead of inserting a shuffle barrier."""
     from .._shipping import ensure_shippable
 
     ensure_shippable()
@@ -1474,7 +1481,6 @@ def search_pipeline(
     index_dir: str,
     k: int = DEFAULT_TOP_K,
     method: str = "taat",
-    concurrency=None,
     with_docs: bool = False,
     doc_columns: list[str] | None = None,
     doc_shards: int | None = None,
@@ -1486,15 +1492,15 @@ def search_pipeline(
 
     One streaming execution of stateless tasks (``util.map_per_block``):
     the queries are split into one block per cluster CPU (per CPU a shard
-    may take when sharded), and each task builds one ``QueryExecutor``
-    and answers its whole block; the optional doc join is a task per
-    block too and fuses with it. Each task holds the state one pool actor
-    held and pays the same one cold start (first decode and scoring of
-    each term it touches) per CPU per call, but nothing is spawned: the
-    tasks start on the session's warm workers. Fewer blocks than CPUs
-    leave CPUs idle; more make each block pay its own cold executor.
-    ``concurrency`` caps concurrent serving tasks (an int, or a tuple's
-    max).
+    may take when sharded; never more blocks than queries when the
+    dataset knows its row count without executing, as an in-memory table
+    does, so no block is empty), and each task builds one
+    ``QueryExecutor`` and answers its whole block; the optional doc join
+    is a task per block too and fuses with it. Each task pays one cold
+    start (first decode and scoring of each term it touches) per CPU per
+    call, but nothing is spawned: the tasks start on the session's warm
+    workers. Fewer blocks than CPUs leave CPUs idle; more make each block
+    pay its own cold executor.
 
     Known cost of serving without a cluster-wide warm-up: there is no
     decode-once-per-cluster broadcast of scored entries and head-term
@@ -1543,9 +1549,13 @@ def search_pipeline(
     # full_width: with per-operator reservation on, the map behind the
     # repartition barrier started one task, and the other three 0.5 s
     # later (1,000 queries at 4 CPUs: call 1.2-1.3 s; off: 0.7-0.9 s)
-    queries_ds = full_width(queries_ds.repartition(max(1, total // shards)))
+    n_blocks = max(1, total // shards)
+    n_rows = queries_ds._meta_count()  # None unless known without executing
+    if n_rows:
+        n_blocks = min(n_blocks, n_rows)
+    queries_ds = full_width(queries_ds.repartition(n_blocks))
     if shards == 1:
-        res = map_per_block(queries_ds, QueryExecutor, exec_kwargs, concurrency)
+        res = map_per_block(queries_ds, QueryExecutor, exec_kwargs)
     else:
         stats = seg.read_stats(index_dir)
         if "max_docid" not in stats:
@@ -1567,7 +1577,7 @@ def search_pipeline(
             kw = dict(exec_kwargs)
             kw["docid_range"] = (edges[s], edges[s + 1])
             shard_res.append(
-                map_per_block(queries_ds, QueryExecutor, kw, concurrency)
+                map_per_block(queries_ds, QueryExecutor, kw)
             )
         res = shard_res[0]
         for r in shard_res[1:]:
@@ -1597,7 +1607,6 @@ def search_pipeline(
             res = doc_join_copartitioned(res, index_dir, columns=doc_columns)
         else:
             res = map_per_block(
-                res, DocJoin, {"index_dir": index_dir, "columns": doc_columns},
-                concurrency,
+                res, DocJoin, {"index_dir": index_dir, "columns": doc_columns}
             )
     return res

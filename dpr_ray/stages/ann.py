@@ -19,8 +19,7 @@ import pyarrow as pa
 import ray
 
 from .._shipping import ensure_shippable
-from ..util import auto_pool as _auto_pool
-from ..util import round_half_away, to_i6
+from ..util import map_per_block, round_half_away, to_i6
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -162,12 +161,10 @@ def brute_force_knn(
         {"qids": list(query_ids), "matrix": np.asarray(query_matrix, dtype=np.float64)}
     )
     ex_ref = ray.put(set(exclude_ids)) if exclude_ids else None
-    cand = ds.map_batches(
-        _BatchTopK,
-        fn_constructor_args=(q_ref, k, id_col, vec_col, ex_ref, snap9),
-        batch_format="pyarrow",
-        concurrency=_auto_pool(),
-    )
+    cand = map_per_block(ds, _BatchTopK, {
+        "q_ref": q_ref, "k": k, "id_col": id_col, "vec_col": vec_col,
+        "exclude_ref": ex_ref, "snap9": snap9,
+    })
     return cand.groupby("qid").map_groups(_final_topk_fn(k), batch_format="pyarrow")
 
 
@@ -323,7 +320,7 @@ def ivf_knn(
                 }
             )
 
-    cand = ds.map_batches(ListTopK, batch_format="pyarrow", concurrency=_auto_pool())
+    cand = map_per_block(ds, ListTopK, {})
     return cand.groupby("qid").map_groups(_final_topk_fn(k), batch_format="pyarrow")
 
 
@@ -363,9 +360,9 @@ def embedding_near_dup_pairs(
 
     ``method="exact"`` (auto for ≤ ``exact_max_rows`` rows): normalized
     blocks go to the object store once; the upper-triangular grid of
-    block-pairs becomes a DATASET of (i, j) items scored by a map_batches
-    actor pool — one float64 matmul per pair, results stream (no driver-side
-    ray.get of pair outputs). O(n²/B²) tasks: exact, fine to ~10^5-10^6.
+    block-pairs becomes a DATASET of (i, j) items scored by a task per
+    grid block — one float64 matmul per pair, results stream (no driver-side
+    ray.get of pair outputs). O(n²/B²) pairs: exact, fine to ~10^5-10^6.
 
     ``method="lsh"`` (auto above the cutoff): each vector is hashed into
     ``lsh_tables`` random-hyperplane bucket tables (deterministic seed);
@@ -415,10 +412,7 @@ def embedding_near_dup_pairs(
                     )
                 return pa.concat_tables(parts)
 
-        return grid.map_batches(
-            PairBlocks, batch_format="pyarrow", concurrency=_auto_pool(),
-            batch_size=4,
-        )
+        return map_per_block(grid, PairBlocks, {})
 
     # ---- LSH path: linear shuffle, bucket-local verify --------------------
     import logging
@@ -432,8 +426,7 @@ def embedding_near_dup_pairs(
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
-                # must not build planes from a (0,0) matrix: dim-0 planes
-                # would poison the actor and crash its next real batch
+                # a (0,0) matrix has no dim to build the planes from
                 return pa.table(
                     {
                         "bkey": pa.array([], pa.int64()),
@@ -488,7 +481,7 @@ def embedding_near_dup_pairs(
         return _pair_table(ids, ids, mat @ mat.T, threshold, True)
 
     cand = (
-        ds.map_batches(EmitBuckets, batch_format="pyarrow", concurrency=_auto_pool())
+        map_per_block(ds, EmitBuckets, {})
         .groupby("bkey")
         .map_groups(verify_bucket, batch_format="pyarrow")
     )
@@ -598,7 +591,7 @@ def lsh_knn(
                 }
             )
 
-    cand = ds.map_batches(BucketTopK, batch_format="pyarrow", concurrency=_auto_pool())
+    cand = map_per_block(ds, BucketTopK, {})
     return cand.groupby("qid").map_groups(_final_topk_fn(k), batch_format="pyarrow")
 
 
@@ -699,7 +692,7 @@ def sq8_encode(
             )
             return pa.table({id_col: batch[id_col], "codes": col})
 
-    return ds.map_batches(Encode, batch_format="pyarrow", concurrency=_auto_pool())
+    return map_per_block(ds, Encode, {})
 
 
 def sq8_knn(
@@ -741,7 +734,7 @@ def sq8_knn(
             dq = _sq8_dequant_mat(m, self.mn, self.mx) if len(m) else m
             return pa.table({id_col: batch[id_col], vec_col: _list_col(dq)})
 
-    dq = ds.map_batches(Dequant, batch_format="pyarrow", concurrency=_auto_pool())
+    dq = map_per_block(ds, Dequant, {})
     return brute_force_knn(dq, query_ids, qd, k=k, id_col=id_col, vec_col=vec_col)
 
 
@@ -852,7 +845,7 @@ def pq_knn(
             )
             return pa.table({id_col: batch[id_col], vec_col: _list_col(rec)})
 
-    rec = ds.map_batches(Reconstruct, batch_format="pyarrow", concurrency=_auto_pool())
+    rec = map_per_block(ds, Reconstruct, {})
     # snap9: PQ maps many rows to identical reconstructions; rank on
     # ROUND(sim, 9) so equal vectors tie exactly and vec_id decides
     return brute_force_knn(
@@ -974,9 +967,7 @@ def ivfpq_knn(
                 }
             )
 
-    cand = ds.map_batches(
-        ListPQTopK, batch_format="pyarrow", concurrency=_auto_pool()
-    )
+    cand = map_per_block(ds, ListPQTopK, {})
     return cand.groupby("qid").map_groups(_final_topk_fn(k), batch_format="pyarrow")
 
 
@@ -1058,9 +1049,7 @@ def semdedup(
                 }
             )
 
-    assigned = ds.map_batches(
-        Assign, batch_format="pyarrow", concurrency=_auto_pool()
-    )
+    assigned = map_per_block(ds, Assign, {})
 
     def prune(group: pa.Table) -> pa.Table:
         vids = group[id_col].to_numpy(zero_copy_only=False)

@@ -44,7 +44,7 @@ from .. import analyzer
 from .._shipping import ensure_shippable
 from ..util import (
     P31,
-    auto_pool,
+    map_per_block,
     map_sorted_groups,
     poly_mod31,
     round_half_away,
@@ -108,7 +108,7 @@ def shingle_hashes62(
 
 def _token_hashes(toks: list[str], memo: dict[str, int]) -> np.ndarray:
     """Per-token 31-bit rolling hashes as uint64, memoized across calls
-    within one batch/actor (an lru_cache wrapper would not ship by value)."""
+    within one batch (an lru_cache wrapper would not ship by value)."""
     th = np.empty(len(toks), np.uint64)
     for i, t in enumerate(toks):
         v = memo.get(t)
@@ -417,10 +417,9 @@ def minhash_lsh_pairs(
     """→ Dataset (docid_a, docid_b, jaccard) of LSH candidate pairs whose
     EXACT shingle Jaccard ≥ threshold. Verification re-reads candidate docs'
     text from ``source_parquet`` — ONE isin-filtered parquet scan per verify
-    batch (the DocJoin pattern), LRU-cached per actor. A candidate docid
-    with no row in ``source_parquet`` is a LOUD error (the doc-join
-    policy) — a silent empty shingle set would report jaccard 0 and drop
-    real near-dups. Band buckets larger than ``band_group_cap`` (e.g. a
+    block (the DocJoin pattern). A candidate docid with no row in
+    ``source_parquet`` is a LOUD error (the doc-join policy) — a silent
+    empty shingle set would report jaccard 0 and drop real near-dups. Band buckets larger than ``band_group_cap`` (e.g. a
     shard of exact duplicates — run exact dedup first) are truncated to
     the ``band_group_cap`` smallest docids with a logged warning, the
     no-silent-caps rule shared with ``shingle_df_cap`` and the embedding
@@ -439,12 +438,10 @@ def minhash_lsh_pairs(
             "would silently verify against empty shingle sets and the "
             "result would always be empty)"
         )
-    emit = ds.map_batches(
-        _MinHashEmit,
-        fn_constructor_args=(id_col, text_col, k, num_perm, bands, 1337),
-        batch_format="pyarrow",
-        concurrency=auto_pool(),
-    )
+    emit = map_per_block(ds, _MinHashEmit, {
+        "id_col": id_col, "text_col": text_col, "k": k,
+        "num_perm": num_perm, "bands": bands, "seed": 1337,
+    })
 
     def candidates(group: pa.Table) -> pa.Table:
         ids = sorted(set(group["docid"].to_pylist()))
@@ -475,52 +472,34 @@ def minhash_lsh_pairs(
 
     class Verify:
         def __init__(self):
-            from collections import OrderedDict
-
             import pyarrow.dataset as pads
 
             self._ds = pads.dataset(source_parquet)
-            self._cache: "OrderedDict[int, set]" = OrderedDict()
-            self._cache_max = 100_000
 
         def _fetch(self, docids: list[int]) -> dict[int, set]:
-            """{docid: shingle set} for every requested docid — from the
-            LRU where present, ONE isin-filtered scan for the rest (not
-            per docid). Returned as a batch-local map so correctness
-            never depends on LRU eviction order; a docid with no row in
+            """{docid: shingle set} for every requested docid — ONE
+            isin-filtered scan (not per docid); a docid with no row in
             the parquet raises (never a silent empty set)."""
-            out: dict[int, set] = {}
-            missing = []
-            for d in docids:
-                s = self._cache.get(d)
-                if s is None:
-                    missing.append(d)
-                else:
-                    out[d] = s
-            if not missing:
-                return out
             import pyarrow.compute as pc_
 
             tbl = self._ds.to_table(
                 columns=[id_col, text_col],
-                filter=pc_.field(id_col).isin(missing),
+                filter=pc_.field(id_col).isin(docids),
             )
-            ids = tbl[id_col].to_pylist()
-            for did, toks in zip(
-                ids, analyzer.tokenize_batch(tbl[text_col].to_pylist())
-            ):
-                s = shingles(toks, k)
-                out[int(did)] = s
-                self._cache[int(did)] = s
-            not_found = [d for d in missing if d not in out]
+            out = {
+                int(did): shingles(toks, k)
+                for did, toks in zip(
+                    tbl[id_col].to_pylist(),
+                    analyzer.tokenize_batch(tbl[text_col].to_pylist()),
+                )
+            }
+            not_found = [d for d in docids if d not in out]
             if not_found:
                 raise ValueError(
                     f"{len(not_found)} candidate docid(s) have no row in "
                     f"{source_parquet} (first: {not_found[0]}) — the LSH "
                     "emit input and the verification source disagree"
                 )
-            while len(self._cache) > self._cache_max:
-                self._cache.popitem(last=False)
             return out
 
         def __call__(self, batch: pa.Table) -> pa.Table:
@@ -545,7 +524,7 @@ def minhash_lsh_pairs(
                 }
             )
 
-    return cand.map_batches(Verify, batch_format="pyarrow", concurrency=auto_pool())
+    return map_per_block(cand, Verify, {})
 
 
 # ------------------------------------------------------------- SimHash -----
@@ -611,7 +590,7 @@ def _span_hashes(
     over per-token 31-bit rolling hashes (SQL-expressible). One hash per
     span position; empty array if the doc is shorter than the window.
     Vectorized: ``window`` shifted multiply-adds, no per-window loop.
-    ``memo`` caches token hashes across calls within one batch/actor."""
+    ``memo`` caches token hashes across calls within one batch."""
     n = len(toks)
     if n < window:
         return np.empty(0, np.uint64)
@@ -752,14 +731,11 @@ def decontaminate(
 
     class Scan:
         def __init__(self):
-            self.th = ray.get(ref)  # zero-copy plasma read, once per actor
+            self.th = ray.get(ref)  # zero-copy plasma read, once per block
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             ids = batch[id_col].to_pylist()
             n_spans, n_hits = [], []
-            # per-batch memo: a per-ACTOR memo would grow one entry per
-            # distinct token the actor ever sees — unbounded on the
-            # long-running corpus scan this op exists for
             memo: dict[str, int] = {}
             for toks in analyzer.tokenize_batch(batch[text_col].to_pylist()):
                 h = _span_hashes(toks, window, memo).astype(np.int64)
@@ -782,6 +758,4 @@ def decontaminate(
                 }
             )
 
-    return corpus_ds.map_batches(
-        Scan, batch_format="pyarrow", concurrency=auto_pool()
-    )
+    return map_per_block(corpus_ds, Scan, {})

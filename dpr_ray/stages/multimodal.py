@@ -1,13 +1,13 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns with
 typed metadata. The decode kernels themselves are STUBBED (no image/audio
 libraries in this environment — clearly marked below); the Ray-side
-plumbing — schema, small-batch actor pools, zero-copy binary columns,
+plumbing — schema, per-block stage tasks, zero-copy binary columns,
 deterministic fake decode for tests — is real and tested.
 
-Pattern: a stateful decode stage is a callable CLASS on a small-batch actor
-pool (``map_batches(Cls, batch_size=small, concurrency=N)``) because real
-decoders hold codec state; binary payloads stay in Arrow (never pandas
-object dtype).
+Pattern: a stateful decode stage is a callable CLASS, because real decoders
+hold codec state; ``util.map_per_block`` runs it as one task per block that
+builds the state once and decodes the whole block. Binary payloads stay in
+Arrow (never pandas object dtype).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from .._shipping import ensure_shippable
-from ..util import auto_pool
+from ..util import map_per_block
 
 MEDIA_SCHEMA_FIELDS = [
     ("media_id", pa.int64()),
@@ -53,7 +53,7 @@ def synth_media_batch(batch: pa.Table, id_col: str = "docid",
 
 
 class DecodeImage:
-    """Actor-pool decode stage. With ``fake=False`` this raises
+    """Decode stage. With ``fake=False`` this raises
     NotImplementedError — REAL DECODE IS STUBBED (no PIL/cv2 in this
     container). ``fake=True`` produces deterministic pseudo-decode metadata
     (width/height/channels from payload bytes) so downstream plumbing and
@@ -61,7 +61,7 @@ class DecodeImage:
 
     def __init__(self, fake: bool = False):
         self.fake = fake
-        # real implementation would open codec handles here, once per actor
+        # real implementation would open codec handles here, once per block
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if not self.fake:
@@ -89,11 +89,11 @@ class DecodeImage:
 
 
 class ExtractFeatures:
-    """Actor-pool feature extraction: payload bytes → fixed-dim float32
+    """Feature extraction: payload bytes → fixed-dim float32
     vector. Deterministic sha256-expanded stand-in for a real model forward
     pass (expansion hashes the hex string of the payload's 32-byte seed, so
     DuckDB's ``sha256(VARCHAR)`` can replay it exactly); the
-    actor-pool/batch plumbing matches what a model stage needs (state in
+    per-block plumbing matches what a model stage needs (state in
     __init__, batched __call__)."""
 
     def __init__(self, dim: int = 32):
@@ -120,28 +120,17 @@ class ExtractFeatures:
 
 
 def media_pipeline(corpus_ds, fake_decode: bool = True):
-    """corpus → synth media → decode (stub) → features. Small batch_size:
-    binary payloads are wide rows (batch × concurrency must fit the heap)."""
+    """corpus → synth media → decode (stub) → features, each stage a task
+    per block of the corpus."""
     ensure_shippable()
     media = corpus_ds.map_batches(synth_media_batch, batch_format="pyarrow")
-    decoded = media.map_batches(
-        DecodeImage,
-        fn_constructor_kwargs={"fake": fake_decode},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=auto_pool(0.5),
-    )
-    feats = media.map_batches(
-        ExtractFeatures,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=auto_pool(0.5),
-    )
+    decoded = map_per_block(media, DecodeImage, {"fake": fake_decode})
+    feats = map_per_block(media, ExtractFeatures, {})
     return decoded, feats
 
 
 class Resize:
-    """Actor-pool resize stage: aspect-preserving downscale to fit a
+    """Resize stage: aspect-preserving downscale to fit a
     (target_w, target_h) box, never upscaling. REAL PIXEL RESAMPLING IS
     STUBBED (``fake=False`` raises — no PIL/cv2 here); ``fake=True``
     computes the real geometry (scale factor + output dims) from the
@@ -182,7 +171,7 @@ class Resize:
 
 
 class FrameSample:
-    """Actor-pool video frame sampler: every ``every``-th frame of the
+    """Video frame sampler: every ``every``-th frame of the
     payload's frame sequence. The fake chain derives n_frames from the
     seed and a per-frame signature by hashing ``seed_hex:f{idx}`` —
     sha256 again, so DuckDB replays the exact sampled (idx, signature)

@@ -16,7 +16,7 @@ import ray
 from .. import analyzer
 from .._shipping import ensure_shippable
 from ..util import (
-    auto_pool,
+    map_per_block,
     map_sorted_groups,
     poly_mod31,
     round_half_away,
@@ -476,6 +476,4 @@ def unigram_logprob(
                 }
             )
 
-    return ds.map_batches(
-        Score, batch_format="pyarrow", concurrency=auto_pool()
-    )
+    return map_per_block(ds, Score, {})

@@ -48,7 +48,7 @@ def token_hash31_impl(t: str, base: int = 131) -> int:
     workers must reference THIS, not the lru-cached wrapper below — an
     ``lru_cache`` wrapper pickles by module reference (its ``__reduce__``
     ignores ``register_pickle_by_value``), which breaks workers that can't
-    ``import dpr_ray``. Cache per actor with a local dict instead."""
+    ``import dpr_ray``. Cache per task with a local dict instead."""
     h = 0
     for c in t:
         h = (h * base + ord(c)) % P31
@@ -65,34 +65,22 @@ def token_hash62_impl(t: str) -> int:
     return token_hash31_impl(t, 131) | (token_hash31_impl(t, 137) << 31)
 
 
-def auto_pool(frac: float = 1.0) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized from the cluster — never a
-    hard-coded cap (a (1,4) pool starves a 32-CPU node), never min ==
-    total CPUs (deadlocks against upstream read tasks)."""
-    import ray
-
-    n = max(2, int(ray.cluster_resources().get("CPU", 4)) - 1)
-    return (1, max(2, int(n * frac)))
-
-
-def map_per_block(ds, cls, kwargs: dict, concurrency=None):
+def map_per_block(ds, cls, kwargs: dict):
     """``ds.map_batches`` of ``cls`` as a stateless task per block: each
     task builds one ``cls(**kwargs)`` and calls it on its whole block.
     Tasks run on the session's warm workers, so nothing is spawned, held
-    or autoscaled, and chained calls fuse into one operator; the state one
-    actor held lives for one block. ``concurrency`` caps concurrent tasks
-    (an int, or a tuple's max). The task takes ``cls``'s name, so
-    ``Dataset.stats()`` names the operator as it named a pool of ``cls``."""
+    or autoscaled, and chained calls fuse into one operator; whatever
+    ``cls`` builds or memoizes lives for one block. Parallelism is the
+    block count: split an input that arrives as one block. The task takes
+    ``cls``'s name, so ``Dataset.stats()`` names the operator
+    ``MapBatches(<cls name>)``."""
 
     def task(batch, **kw):
         return cls(**kw)(batch)
 
     task.__name__ = cls.__name__
-    if isinstance(concurrency, tuple):
-        concurrency = max(concurrency)
     return ds.map_batches(
-        task, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=None,
-        concurrency=concurrency,
+        task, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=None
     )
 
 
@@ -128,8 +116,11 @@ def full_width(ds):
     CPU share for operators behind a shuffle barrier, so the map stage
     ahead of it runs serially (4 map tasks of 0.3 s before a groupby:
     1.39 s; off: 0.45 s). The flag governs the whole execution, stages a
-    caller chains on included: materialize() ahead of several actor pools.
-    ``ds``'s (caller-shared) and the global DataContext are left unchanged."""
+    caller chains on included. The engine chains only tasks; a caller
+    chaining actor pools of its own should materialize() ahead of them,
+    as pools with reservation off can hold every CPU against the
+    shuffle. ``ds``'s (caller-shared) and the global DataContext are
+    left unchanged."""
     from ray.data import Dataset
     from ray.data._internal.logical.interfaces import LogicalPlan
 

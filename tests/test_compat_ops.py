@@ -4,6 +4,7 @@ multimodal plumbing, ANN recall."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from dpr_ray import compat
 
@@ -857,3 +858,81 @@ def test_qa_csv_and_ctx_tsv_edge_cells(tmp_path):
     )
     c = read_ctx_tsv(str(ctx))
     assert c["content"].to_pylist() == ["Darth Vader", "x", "quoted"]
+
+
+def _tiny_stage_runs(tmp_path):
+    """{name: () -> Dataset(s)} over tiny inputs in two blocks, one run per
+    stateful stage: the ANN indexers, semdedup and both near-dup methods
+    over 200 vectors (rows 100..109 near-copies of rows 0..9), and the
+    text stages over a few short docs."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from dpr_ray import corpus as corpus_mod
+    from dpr_ray.stages import ann, dedup, multimodal, text_stats
+
+    rng = np.random.default_rng(9)
+    mat = rng.standard_normal((200, 8))
+    mat[100:110] = mat[:10] + 1e-3 * rng.standard_normal((10, 8))
+    vecs = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(200), pa.int64()),
+        "embedding": pa.array([v.tolist() for v in mat], pa.list_(pa.float64())),
+    })).repartition(2)
+    qids, qm = [0, 1, 2], mat[:3]
+    base = " ".join(f"tok{i}" for i in range(60))
+    docs_tbl = pa.table({
+        "docid": pa.array([1, 2, 3], pa.int64()),
+        "content": [base, base[:-1] + "X", "other words entirely here"],
+    })
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(docs_tbl, src)
+    docs = ray.data.from_arrow(docs_tbl).repartition(2)
+    test_docs = ray.data.from_arrow(pa.table({
+        "docid": pa.array([9], pa.int64()), "content": [base[:40]],
+    }))
+    media = corpus_mod.synth_corpus_table(20, seed=4)
+    media = media.append_column("docid", pa.array(range(20), pa.int64()))
+    media_ds = ray.data.from_arrow(media).repartition(2)
+    knn = {"k": 3}
+    return {
+        "brute_force_knn": lambda: ann.brute_force_knn(vecs, qids, qm, **knn),
+        "ivf_knn": lambda: ann.ivf_knn(vecs, qids, qm, **knn),
+        "lsh_knn": lambda: ann.lsh_knn(vecs, qids, qm, n_bits=4, **knn),
+        "sq8_knn": lambda: ann.sq8_knn(vecs, qids, qm, **knn),
+        "pq_knn": lambda: ann.pq_knn(vecs, qids, qm, **knn),
+        "ivfpq_knn": lambda: ann.ivfpq_knn(vecs, qids, qm, **knn),
+        "semdedup": lambda: ann.semdedup(vecs),
+        "near_dup_exact": lambda: ann.embedding_near_dup_pairs(
+            vecs, threshold=0.99, method="exact", block_rows=64),
+        "near_dup_lsh": lambda: ann.embedding_near_dup_pairs(
+            vecs, threshold=0.99, method="lsh"),
+        "minhash_lsh_pairs": lambda: dedup.minhash_lsh_pairs(
+            docs, threshold=0.5, source_parquet=src),
+        "decontaminate": lambda: dedup.decontaminate(docs, test_docs, window=8),
+        "unigram_logprob": lambda: text_stats.unigram_logprob(docs),
+        "media_pipeline": lambda: multimodal.media_pipeline(media_ds),
+    }
+
+
+STATEFUL_STAGES = [
+    "brute_force_knn", "ivf_knn", "lsh_knn", "sq8_knn", "pq_knn",
+    "ivfpq_knn", "semdedup", "near_dup_exact", "near_dup_lsh",
+    "minhash_lsh_pairs", "decontaminate", "unigram_logprob", "media_pipeline",
+]
+
+
+@pytest.mark.parametrize("stage", STATEFUL_STAGES)
+def test_stateful_stage_starts_no_actor(ray_session, tmp_path, stage):
+    """Every stateful map stage runs as a stateless task per block: the
+    session's GCS actor table is the same before and after the stage
+    (an actor pool adds its actors to it, alive or dead)."""
+    import ray.data
+    from ray._private import state
+
+    run = _tiny_stage_runs(tmp_path)[stage]
+    ray.data.range(1).materialize()  # Ray Data's own session actors
+    before = set(state.actors())
+    out = run()
+    for ds in out if isinstance(out, tuple) else (out,):
+        assert ds.take_all(), stage
+    assert set(state.actors()) == before, stage

@@ -747,7 +747,6 @@ def test_actor_pool_chained_onto_map_sorted_groups_output(ray_session):
     through unchanged, in order."""
     from dpr_ray.stages.dedup import duplicate_spans
     from dpr_ray.stages.text_stats import tfidf_topk
-    from dpr_ray.util import auto_pool
 
     class Passthrough:
         def __call__(self, batch):
@@ -758,6 +757,6 @@ def test_actor_pool_chained_onto_map_sorted_groups_output(ray_session):
         want = _take_all_within(stage(ds))
         assert want, stage.__name__
         chained = stage(ds).map_batches(
-            Passthrough, batch_format="pyarrow", concurrency=auto_pool()
+            Passthrough, batch_format="pyarrow", concurrency=(1, 2)
         )
         assert _take_all_within(chained) == want, stage.__name__

@@ -317,7 +317,7 @@ def test_null_question_serves_empty(ray_session, tmp_path):
         assert [(r["docid"], r["score"]) for r in out] == want
         assert {r["qid"] for r in out} == {"q0"}
     res = search_pipeline(
-        ray.data.from_arrow(qb), d, k=5, method="bmw", concurrency=(1, 2),
+        ray.data.from_arrow(qb), d, k=5, method="bmw",
     ).to_pandas().sort_values("rank")
     assert set(res["qid"]) == {"q0"}
     assert list(zip(res["docid"].astype("uint64"), res["score"])) == want

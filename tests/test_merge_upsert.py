@@ -764,7 +764,7 @@ def test_fully_deleted_merge_serves_empty(ray_session, tmp_path):
     for method in ("taat", "maxscore", "bmw"):
         assert QueryExecutor(dm, k=5, method=method)(qb).to_pylist() == []
     res = search_pipeline(
-        ray.data.from_arrow(qb), dm, k=5, method="bmw", concurrency=(1, 2)
+        ray.data.from_arrow(qb), dm, k=5, method="bmw"
     ).to_pandas()
     assert len(res) == 0
 

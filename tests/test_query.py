@@ -713,6 +713,38 @@ def test_serving_starts_no_actor(setup, tmp_path):
     assert _actor_ids() == before
 
 
+def test_one_query_splits_into_no_empty_block(setup):
+    """One query at the session's 4 CPUs: the in-memory table's row
+    count caps the split, so no empty query block reaches the executor
+    tasks and Ray Data logs no schema-divergence line (one per empty,
+    schema-less block), and the rows equal the oracle's."""
+    import logging
+
+    import pyarrow as pa
+    import ray.data
+
+    index_dir, oracle = setup
+    lines: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            lines.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    handler = Collect(logging.WARNING)
+    log.addHandler(handler)
+    try:
+        rows = search_pipeline(
+            ray.data.from_arrow(pa.table({"qid": ["q0"], "question": ["def"]})),
+            index_dir, k=5,
+        ).take_all()
+    finally:
+        log.removeHandler(handler)
+    assert not [m for m in lines if "different schema" in m], lines
+    got = [(r["docid"], r["score"]) for r in sorted(rows, key=lambda r: r["rank"])]
+    assert got == oracle.top_k("def", 5)
+
+
 @pytest.mark.parametrize("setup_name,method", [
     ("setup_dense", "maxscore"), ("setup", "taat"), ("setup", "bmw"),
 ])

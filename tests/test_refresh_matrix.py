@@ -172,7 +172,6 @@ def test_refresh_pipeline_warm_shards_banned(refresh_index):
             res = search_pipeline(
                 ray.data.from_arrow(qb), dm, k=8, method=method,
                 doc_shards=shards, banned_docids=banned,
-                concurrency=(1, 2),
             ).to_pandas().sort_values(["qid", "rank"])
             got: dict[str, list] = {q: [] for q in QUESTIONS}
             for _, r in res.iterrows():
@@ -389,7 +388,6 @@ def test_merged_doc_shards_scale(big_refresh_index):
             res = search_pipeline(
                 ray.data.from_arrow(qb), dm, k=10, method=method,
                 doc_shards=shards, banned_docids=banned,
-                concurrency=(1, 2),
             ).to_pandas().sort_values(["qid", "rank"])
             got: dict[str, list] = {q: [] for q in QUESTIONS}
             for _, r in res.iterrows():

@@ -191,8 +191,7 @@ def test_tombstones_with_doc_shards(ray_session, tmp_path):
 
     def run(**kw):
         df = search_pipeline(
-            ray.data.from_arrow(qb), idx, k=12, banned_docids=banned,
-            concurrency=(1, 2), **kw,
+            ray.data.from_arrow(qb), idx, k=12, banned_docids=banned, **kw,
         ).to_pandas()
         return df.sort_values(["qid", "rank"]).reset_index(drop=True)[
             ["qid", "rank", "docid", "score"]
@@ -225,7 +224,7 @@ def test_tombstones_through_search_pipeline(ray_session, tmp_path):
         pa.table({"qid": ["a"], "question": [QUESTIONS[0]]})
     )
     res = search_pipeline(
-        qds, idx, k=8, banned_docids=banned, concurrency=(1, 2)
+        qds, idx, k=8, banned_docids=banned
     ).to_pandas()
     want = _oracle_topk_banned(oracle, QUESTIONS[0], 8, banned)
     got = list(zip(res["docid"].tolist(), res["score"].tolist()))

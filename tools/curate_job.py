@@ -83,7 +83,7 @@ def main() -> None:
     from dpr_ray.index import manifest as man
     from dpr_ray.stages.curation import curate_corpus
     from dpr_ray.stages.dedup import ngram_jaccard_pairs_hashed
-    from dpr_ray.util import read_parquet_clean
+    from dpr_ray.util import map_per_block, read_parquet_clean
 
     # register dpr_ray for by-value pickling BEFORE any UDF is created:
     # the resume path can reach the KeepFilter stage without ever calling
@@ -226,10 +226,7 @@ def main() -> None:
         else:
             full_docs = read_parquet_clean(args.docs)
             cstats = write_partitioned(
-                full_docs.map_batches(
-                    KeepFilter, batch_format="pyarrow",
-                    concurrency=(1, max(2, args.num_cpus - 1)),
-                ),
+                map_per_block(full_docs, KeepFilter, {}),
                 cdir, partition_col="bucket", sum_cols=[],
             )
             out["kept_rows"] = cstats["rows"]
