@@ -4,9 +4,11 @@ Ray-Data restatement of the reference's retrieval stage
 (``DenseFlatIndexer.search_knn``, ``dpr/indexer/faiss_indexers.py:107-112``,
 called from ``dense_retriever.py:168-179,596``): instead of a driver-resident
 FAISS index, ``search_pipeline`` splits the queries into one block per CPU
-and maps a task over each; the task builds a ``QueryExecutor``, which
-lazily loads + caches posting lists from the term-partitioned segment
-store (ST3/ST6 mapping) and answers exact top-k for the whole block.
+and maps a task over each; the task builds a ``QueryExecutor`` on its
+worker process's shared ``SegmentStore``, which lazily loads + caches
+posting lists from the term-partitioned segment store (ST3/ST6 mapping)
+across the process's tasks and calls, and answers exact top-k for the
+whole block.
 
 Three exact, rank-identical scoring paths:
 
@@ -38,9 +40,12 @@ scores, so engine scores == oracle scores bitwise, not approximately.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import os
+import sys
+import types
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -50,7 +55,7 @@ import pyarrow.dataset as pads
 
 from .. import analyzer, codec
 from ..config import BM25Params, DEFAULT_TOP_K
-from ..util import full_width, map_per_block
+from ..util import full_width, map_per_block, run_starts
 from ..index import segments as seg
 from . import scorer
 
@@ -59,9 +64,14 @@ import ray as _ray
 
 
 class SegmentStore:
-    """Per-executor view of an index: stats + LRU-cached posting lists.
+    """A view of one index: stats + LRU-cached posting lists.
 
-    Cache layers (all per executor, shared across batches):
+    ``search_pipeline`` keeps one store per worker process per index
+    identity and docid range (``_store_memo``), so its caches outlive the
+    task and the call: only a worker's first block of an index pays the
+    cold decode. An in-process ``QueryExecutor`` builds a private one.
+
+    Cache layers (all per store, shared across batches):
     - whole term buckets as Arrow tables, sorted by (term, slice_id), + a
       term → row range map: the first miss in a bucket reads it with one
       partition-pruned scan, and every later miss there is a zero-copy
@@ -70,7 +80,7 @@ class SegmentStore:
     - decoded + pre-scored arrays per term: (docids, float64 contributions,
       upper bound) — contributions depend only on (tf, dl, df, N, avgdl),
       all fixed for an index, so repeated terms across queries cost nothing;
-      each executor fills it on first touch of a term
+      each store fills it on first touch of a term
     - impact permutations per head term (``impact``)
     - dense docid → position maps per head term (``posmap``)
     """
@@ -87,7 +97,7 @@ class SegmentStore:
         # exact. Collection stats (df, N, avgdl) intentionally keep their
         # index-time values until a real merge, exactly like Lucene
         # deletes. Accepts a sequence or a ray.ObjectRef (one ray.put,
-        # zero-copy plasma read per executor).
+        # zero-copy plasma read per store).
         self.banned: np.ndarray | None = None
         if banned_docids is not None:
             if isinstance(banned_docids, _ray.ObjectRef):
@@ -95,16 +105,18 @@ class SegmentStore:
             b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
             if len(b):
                 self.banned = b
-        # Per-executor cache ceiling, overridable for large-corpus deployments
+        # Per-store cache ceiling, overridable for large-corpus deployments
         # (env knob follows the DPR_BATCH_ACCUM_MB convention). Combined
-        # worst-case per-executor footprint over the four layers ≈ scored
+        # worst-case per-store footprint over the four layers ≈ scored
         # (≤ cache_postings elements × ~20 B: int64 docid + float64
         # contribution + overhead) + impact perms (≤ cache_postings × 4 B
         # int32) + posmaps (≤ 3×cache_postings × 4 B) + resident term
         # buckets (≤ cache_postings encoded postings, ~4 B each, plus the
-        # bucket just read) ≈ 4 GB at the 120M default — times the
-        # executors serving at once (one per CPU under search_pipeline);
-        # shrink DPR_CACHE_POSTINGS when corpus × executors exceeds
+        # bucket just read) ≈ 4 GB at the 120M default — per worker
+        # process that has served the index (one store per docid range
+        # under search_pipeline, kept between calls until the index
+        # identity changes), plus one per in-process executor; shrink
+        # DPR_CACHE_POSTINGS when corpus × worker processes exceeds
         # node DRAM.
         if cache_postings is None:
             cache_postings = int(
@@ -131,7 +143,7 @@ class SegmentStore:
         self._posmap: OrderedDict[str, np.ndarray] = OrderedDict()
         self._posmap_total = 0
         # doc-sharded mode: this store only ever DECODES blocks intersecting
-        # [lo, hi) — a hot posting list costs df/n_shards heap per executor,
+        # [lo, hi) — a hot posting list costs df/n_shards heap per store,
         # the lever for corpora whose head terms exceed a worker's memory. df for
         # idf stays GLOBAL (scores must match the unsharded engine bitwise).
         if docid_range is not None:
@@ -190,7 +202,7 @@ class SegmentStore:
         default 32 MB ≈ 4M docs): below that the term arrays are
         cache-resident anyway (measured ~1.1x at 500k docs) while the
         (g × dense_size) scratch costs g × dense_size × 8 B of one-time
-        first-touch page faults per executor — a real regression on
+        first-touch page faults per store — a real regression on
         fault-throttled hosts. Above it, per-query streams dwarf cache and
         the amortization is the win the docstring describes."""
         if not self.dense_size:
@@ -202,7 +214,7 @@ class SegmentStore:
         return max(1, min(16, budget // (self.dense_size * 8)))
 
     def dense_buffers_multi(self, g: int):
-        """(g, dense_size) float64 zeroed scratch (persistent per executor —
+        """(g, dense_size) float64 zeroed scratch (persistent per store —
         first-touch page faults are paid once) + the shared id map."""
         if self._multi_buf is None or self._multi_buf.shape[0] < g:
             self._multi_buf = np.zeros(
@@ -217,7 +229,7 @@ class SegmentStore:
         block_offsets)`` — full float64-scored arrays PLUS per-block
         metadata (conservative contribution bounds + offsets into the
         decoded arrays) so the block-pruned executor can skip ranges
-        without re-fetching. Decode + score happen once per term per executor
+        without re-fetching. Decode + score happen once per term per store
         (LRU by postings)."""
         hit = self._scored.get(term)
         if hit is not None:
@@ -318,7 +330,7 @@ class SegmentStore:
     def impact(self, term: str) -> np.ndarray | None:
         """Impact permutation for one term: posting indices ordered by
         (-contribution, docid) — descending score impact. Computed once per
-        term per executor (one lexsort, ~100 ms at df=1.2M) and LRU-cached:
+        term per store (one lexsort, ~100 ms at df=1.2M) and LRU-cached:
         the amortized key to sub-linear head-only queries, where streaming
         the full posting list is pure memory-bus traffic."""
         p = self._impact.get(term)
@@ -342,7 +354,7 @@ class SegmentStore:
         absent; dense docid spaces only). Turns candidate membership tests
         from binary searches over a multi-MB docid array into single
         random loads — the per-candidate cost lever of impact-ordered
-        expansion. Cached per term per executor (dense_size × 4 bytes)."""
+        expansion. Cached per term per store (dense_size × 4 bytes)."""
         if not self.dense_size:
             return None
         p = self._posmap.get(term)
@@ -391,10 +403,13 @@ class SegmentStore:
             [("term", "ascending"), ("slice_id", "ascending")]
         )
         self.bucket_reads += 1
-        rows_of: dict[str, tuple[int, int]] = {}
-        for i, t in enumerate(tbl.column("term").to_pylist()):
-            first, n = rows_of.get(t, (i, 0))
-            rows_of[t] = (first, n + 1)
+        # a term's slices are adjacent in the sorted table: one run each
+        terms = tbl.column("term").to_numpy()
+        starts = run_starts(terms)
+        counts = np.diff(starts, append=len(terms))
+        rows_of = dict(zip(
+            terms[starts].tolist(), zip(starts.tolist(), counts.tolist())
+        ))
         entry = (tbl, rows_of, pc.sum(tbl.column("df")).as_py() or 0)
         self._buckets[b] = entry
         self._bucket_total += entry[2]
@@ -566,7 +581,7 @@ def _dense_topk_extract(
     """Top-k + reset over an accumulated dense buffer — the single source
     of truth for both the per-query and the batched term-major TAAT paths
     (shared code = shared bitwise behavior). ``scratch`` (partition copy +
-    two bool masks, persistent per executor) makes the dense-size-sized
+    two bool masks, persistent per store) makes the dense-size-sized
     temporaries allocation-free — identical values, no per-query mmap
     page-fault cycle."""
     # top-k over the touched (positive) entries only: compress the
@@ -1093,9 +1108,12 @@ def _check_method(method: str) -> None:
 class QueryExecutor:
     """(qid, question) rows → (qid, question, rank, docid, score) top-k
     rows. Segment fetch is batched across the queries of a batch and
-    LRU-cached across batches of the same executor. ``search_pipeline``
-    builds one per block of queries (a stateless task); the serial loops
-    keep one in-process across calls."""
+    LRU-cached in its ``store`` across batches. Built without a
+    ``store``, it reads a private one (``docid_range`` and
+    ``banned_docids`` configure it): the serial loops keep such an
+    executor in-process across calls. ``search_pipeline`` builds one per
+    block of queries (a stateless task) on its worker process's shared
+    store. The result cache is always the executor's own."""
 
     def __init__(
         self,
@@ -1105,11 +1123,15 @@ class QueryExecutor:
         result_cache: int = 100_000,
         docid_range: tuple[int, int] | None = None,
         banned_docids=None,
+        store: SegmentStore | None = None,
     ):
         _check_method(method)
-        self.store = SegmentStore(
-            index_dir, docid_range=docid_range, banned_docids=banned_docids,
-        )
+        if store is None:
+            store = SegmentStore(
+                index_dir, docid_range=docid_range,
+                banned_docids=banned_docids,
+            )
+        self.store = store
         self.k = k
         self.method = method
         s = self.store.stats
@@ -1279,6 +1301,78 @@ def _per_row(values: list, lens: list[int]) -> pa.Array:
     the one-query batches of serial serving (~30 µs a call there)."""
     rows = itertools.chain.from_iterable(map(itertools.repeat, values, lens))
     return pa.array(list(rows), pa.string())
+
+
+_STORE_MEMO = "_dpr_ray_shared_segment_stores"
+
+
+def _store_memo() -> types.ModuleType:
+    """This process's shared serving stores: ``identity`` (the
+    ``_index_identity`` they serve) and ``stores`` (docid_range → store).
+    It lives in ``sys.modules`` under a name outside ``dpr_ray`` and is
+    looked up at call time: ``ensure_shippable`` pickles every dpr_ray
+    module by value, so a module-level dict here would travel inside
+    each task with the driver's contents and be rebuilt on every
+    deserialization."""
+    memo = sys.modules.get(_STORE_MEMO)
+    if memo is None:
+        memo = types.ModuleType(_STORE_MEMO)
+        memo.identity, memo.stores = None, {}
+        sys.modules[_STORE_MEMO] = memo
+    return memo
+
+
+def _index_identity(index_dir: str, banned: np.ndarray | None) -> tuple:
+    """What a shared store is valid for: the index dir's real path, a
+    digest of its ``stats.json`` bytes and sorted segment file names
+    (content hashes, so an index rebuilt at the same path from another
+    corpus differs), and a digest of the sorted banned docids (None
+    without tombstones)."""
+    h = hashlib.blake2b(digest_size=16)
+    with open(os.path.join(index_dir, "stats.json"), "rb") as f:
+        h.update(f.read())
+    seg_dir = os.path.join(index_dir, "segments")
+    for name in sorted(
+        os.path.relpath(os.path.join(d, fn), seg_dir)
+        for d, _, fns in os.walk(seg_dir) for fn in fns
+    ):
+        h.update(b"\0" + name.encode())
+    banned_digest = (
+        None if banned is None
+        else hashlib.blake2b(banned.tobytes(), digest_size=16).hexdigest()
+    )
+    return os.path.realpath(index_dir), h.hexdigest(), banned_digest
+
+
+class SharedStoreQueryExecutor:
+    """One ``search_pipeline`` block answered by a fresh ``QueryExecutor``
+    (own result cache) on this worker process's shared ``SegmentStore``
+    for (``identity``, ``docid_range``). The process keeps one identity's
+    stores, one per docid range, and drops them all when a task brings
+    another. A store is checked out for the call and put back only after
+    it returns, so a task that raises evicts it: the dense accumulators
+    are zeroed only after a successful extraction, and a half-scored
+    buffer must not reach the next task."""
+
+    def __init__(self, index_dir: str, k: int, method: str,
+                 identity: tuple, banned_docids=None,
+                 docid_range: tuple[int, int] | None = None):
+        self.index_dir, self.k, self.method = index_dir, k, method
+        self.identity, self.banned = identity, banned_docids
+        self.docid_range = docid_range
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        memo = _store_memo()
+        if memo.identity != self.identity:
+            memo.identity, memo.stores = self.identity, {}
+        store = memo.stores.pop(self.docid_range, None)
+        if store is None:
+            store = SegmentStore(self.index_dir, docid_range=self.docid_range,
+                                 banned_docids=self.banned)
+        out = QueryExecutor(self.index_dir, k=self.k, method=self.method,
+                            store=store)(batch)
+        memo.stores[self.docid_range] = store
+        return out
 
 
 class DocJoin:
@@ -1495,21 +1589,28 @@ def search_pipeline(
     may take when sharded; never more blocks than queries when the
     dataset knows its row count without executing, as an in-memory table
     does, so no block is empty), and each task builds one
-    ``QueryExecutor`` and answers its whole block; the optional doc join
-    is a task per block too and fuses with it. Each task pays one cold
-    start (first decode and scoring of each term it touches) per CPU per
-    call, but nothing is spawned: the tasks start on the session's warm
-    workers. Fewer blocks than CPUs leave CPUs idle; more make each block
-    pay its own cold executor.
+    ``QueryExecutor`` (``SharedStoreQueryExecutor``) and answers its
+    whole block; the optional doc join is a task per block too and fuses
+    with it. Nothing is spawned: the tasks start on the session's warm
+    workers, and each worker process keeps one ``SegmentStore`` per index
+    identity (``_index_identity``: path, stats, segment files, banned
+    set) and docid range across tasks and calls. So only a worker's
+    first block of an index pays the cold start (first bucket read,
+    decode and scoring of each term it touches); later blocks and calls
+    on that worker start warm, and only the result cache is per task.
+    Fewer blocks than CPUs leave CPUs idle; more than CPUs cost a task
+    dispatch each but no extra cold decode once every worker is warm.
 
     Known cost of serving without a cluster-wide warm-up: there is no
     decode-once-per-cluster broadcast of scored entries and head-term
-    impact permutations any more, so each task pays its own first decode
-    and lexsort of a head term. The removed broadcast was credited with
-    84.4 → 63.2 s on 1.5M docs at 32 CPUs (BASELINE round 2) and 3.2× on
-    5M-doc tombstoned serving; no benchmark workload reaches that size,
-    and it was not re-measured there. At the benchmark's 10k-doc size the
-    warm-up pass lost on both serving workloads.
+    impact permutations, so each worker process pays its own first
+    decode and lexsort of a head term, and holds its own copy of them
+    (per-process memory, not shared pages). The removed broadcast was
+    credited with 84.4 → 63.2 s on 1.5M docs at 32 CPUs (BASELINE round
+    2) and 3.2× on 5M-doc tombstoned serving; no benchmark workload
+    reaches that size, and it was not re-measured there. At the
+    benchmark's 10k-doc size the warm-up pass lost on both serving
+    workloads.
 
     ``banned_docids``: query-time tombstones (Lucene live-docs pattern) —
     one ``ray.put`` broadcast; banned docs vanish from results of every
@@ -1523,7 +1624,9 @@ def search_pipeline(
     term); per-shard top-k merge by qid with the exact (-score, docid)
     order. Bitwise-identical to the unsharded path (a doc's postings live
     in exactly one shard, so per-doc float summation is unchanged);
-    identity test-gated."""
+    identity test-gated. A worker keeps a store for every range it has
+    served, so across calls its heap can grow to the sum of those
+    ranges' shares."""
     _check_method(method)
     if doc_join_mode not in ("probe", "copartition"):
         raise ValueError(
@@ -1536,15 +1639,16 @@ def search_pipeline(
     import ray
 
     total = int(ray.cluster_resources().get("CPU", 4))
-    banned_ref = None
+    banned = None
     if banned_docids is not None:
         b = np.unique(np.asarray(banned_docids, dtype=np.uint64))
-        if len(b):
-            banned_ref = ray.put(b)  # one put; zero-copy read per task
+        banned = b if len(b) else None
     shards = doc_shards if doc_shards and doc_shards > 1 else 1
     exec_kwargs = {
         "index_dir": index_dir, "k": k, "method": method,
-        "banned_docids": banned_ref,
+        "identity": _index_identity(index_dir, banned),
+        # one put; read by each store built
+        "banned_docids": None if banned is None else ray.put(banned),
     }
     # full_width: with per-operator reservation on, the map behind the
     # repartition barrier started one task, and the other three 0.5 s
@@ -1555,7 +1659,7 @@ def search_pipeline(
         n_blocks = min(n_blocks, n_rows)
     queries_ds = full_width(queries_ds.repartition(n_blocks))
     if shards == 1:
-        res = map_per_block(queries_ds, QueryExecutor, exec_kwargs)
+        res = map_per_block(queries_ds, SharedStoreQueryExecutor, exec_kwargs)
     else:
         stats = seg.read_stats(index_dir)
         if "max_docid" not in stats:
@@ -1577,7 +1681,7 @@ def search_pipeline(
             kw = dict(exec_kwargs)
             kw["docid_range"] = (edges[s], edges[s + 1])
             shard_res.append(
-                map_per_block(queries_ds, QueryExecutor, kw)
+                map_per_block(queries_ds, SharedStoreQueryExecutor, kw)
             )
         res = shard_res[0]
         for r in shard_res[1:]:

@@ -70,7 +70,8 @@ def map_per_block(ds, cls, kwargs: dict):
     task builds one ``cls(**kwargs)`` and calls it on its whole block.
     Tasks run on the session's warm workers, so nothing is spawned, held
     or autoscaled, and chained calls fuse into one operator; whatever
-    ``cls`` builds or memoizes lives for one block. Parallelism is the
+    ``cls`` builds lives for one block, unless it parks it in a
+    per-process memo (``search_pipeline``'s stores). Parallelism is the
     block count: split an input that arrives as one block. The task takes
     ``cls``'s name, so ``Dataset.stats()`` names the operator
     ``MapBatches(<cls name>)``."""

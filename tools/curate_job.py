@@ -185,14 +185,8 @@ def main() -> None:
                 self.ids = ray.get(ids_ref)
 
             def __call__(self, batch: pa.Table) -> pa.Table:
-                if len(self.ids) == 0:
-                    # empty keep-set: all-False filter (minimum(pos, -1)
-                    # would index into an empty array below)
-                    empty = batch.slice(0, 0)
-                    return empty.append_column(
-                        "bucket", pa.array([], pa.int64())
-                    )
-                # cast to the verdicts' int64 docid space FIRST (loud
+                # ids is never empty here (main skips the scan then).
+                # Cast to the verdicts' int64 docid space FIRST (loud
                 # ArrowInvalid on overflow, same as the upstream verdicts
                 # cast): a raw uint64 column compared against int64 ids
                 # promotes searchsorted/== to float64 and SILENTLY drops
