@@ -14,15 +14,20 @@ Reproduces the reference's validation semantics exactly:
   ``top_k_hits[best_hit:] += 1``; accuracy = counts / n_queries
   (``qa_validation.py:72-79``, ``dense_retriever.py:301-315``).
 - ``save_results`` — per-question dict with ranked ``ctxs`` (id/title/text/
-  score-as-string/has_answer), score-desc (``dense_retriever.py:337-379``).
+  score-as-string/has_answer), score-desc (``dense_retriever.py:337-379``),
+  the bytes of ``json.dump(entries, f, indent=1)``.
 
 The per-rank validation runs as a ``map_batches`` stage over the result
 Dataset (the reference forks a 16-worker multiprocessing pool with the whole
 passage dict copied into each fork — ``qa_validation.py:56-68``; here docs
 arrive via the DocJoin stage and answers via a ray.put broadcast).
 ``match_batch`` prepares each DISTINCT text (keyed on its value) and each
-qid's answers once per batch. Nothing after retrieval shuffles: per-block
-partials of ``top_k_hits`` and the rows of ``save_results`` fold on the driver.
+qid's answers once per batch; in string mode a text is tokenized only when
+one of its rows' answers passes a substring pre-test, which most of a
+top-k never does. Nothing after retrieval shuffles or starts a second
+execution: ``top_k_hits`` reduces the result's blocks on the driver, and
+``save_results`` encodes each block's columns once (each distinct
+id/title/text escaped once) and writes the file entry by entry.
 """
 
 from __future__ import annotations
@@ -120,11 +125,60 @@ has_answer_regex = _per_row("regex")
 has_answer_kilt = _per_row("kilt")
 
 
+def _fold(s: str) -> str:
+    """Caseless form for the string-mode pre-test. ``str.lower`` maps each
+    character on its own except capital sigma (σ, or final ς by its
+    neighbours); with ς folded to σ the fold of a substring is a substring
+    of the fold of the whole, and folding is idempotent, so a token of a
+    text folds to a substring of the folded text. A plain
+    ``tok in text.lower()`` is not sound: "ΟΔΟΣ'A" tokenizes to ``οδος``
+    but lowercases to ``οδοσ'a``."""
+    return s.lower().replace("ς", "σ")
+
+
+def _match_strings(answers: dict, qids: list, codes: list,
+                   texts: list) -> list:
+    # an answer can match only if each of its tokens is a substring of the
+    # folded NFD text; a text is folded on first use and tokenized only
+    # when some answer passes that test, each at most once per batch
+    folded: list = [None] * len(texts)
+    tokens: list = [None] * len(texts)
+    by_qid: dict = {}
+    flags = []
+    for qid, code in zip(qids, codes):
+        hit = False
+        if code is not None:
+            ans = by_qid.get(qid)
+            if ans is None:
+                ans = by_qid[qid] = [
+                    (t, {_fold(x) for x in t})
+                    for t in map(analyzer.tokenize, answers.get(qid, [])) if t
+                ]
+            if ans:
+                hay = folded[code]
+                if hay is None:
+                    hay = folded[code] = _fold(analyzer.nfd(texts[code]))
+                for needle, keys in ans:
+                    if all(key in hay for key in keys):
+                        toks = tokens[code]
+                        if toks is None:
+                            toks = tokens[code] = analyzer.tokenize(texts[code])
+                        if analyzer.is_subsequence(needle, toks):
+                            hit = True
+                            break
+        flags.append(hit)
+    return flags
+
+
 def match_batch(match: str, answers: dict, qids: list, codes: list,
                 texts: list) -> pa.Array:
     """has_answer per row: row i's text is ``texts[codes[i]]`` (the batch's
     distinct non-null texts), or null when ``codes[i]`` is None. Each
-    distinct text and each qid's answers are prepared once per batch."""
+    distinct text and each qid's answers are prepared once per batch; in
+    string mode a text is tokenized only if some answer of its rows has
+    every token in its folded NFD form (``_fold``), and then only once."""
+    if match == "string":
+        return pa.array(_match_strings(answers, qids, codes, texts), pa.bool_())
     prep_answers, prep_text, hit = _MODES[match]
     prepared = [prep_text(t) for t in texts]
     by_qid: dict = {}
@@ -159,21 +213,17 @@ class AttachHasAnswer:
 
 def top_k_hits(results_ds, n_queries: int, k: int):
     """Cumulative hits@1..k over a result Dataset that carries (qid, rank,
-    has_answer). Partial + final with no shuffle: each block maps to one
-    (qid, best_hit) row per qid with a hit in it; the driver keeps the min
-    per qid (a qid's rows may span blocks), then histograms and cumsums."""
-
-    def best_hits(batch: pa.Table) -> pa.Table:
-        hit = batch.filter(pc.fill_null(batch["has_answer"], False))
-        g = hit.group_by("qid").aggregate([("rank", "min")])
-        return pa.table({"qid": g["qid"], "best_hit": g["rank_min"]})
-
+    has_answer). Reduced on the driver block by block, with no second
+    execution over a materialized result: each block's hit rows group to
+    one best (minimum) rank per qid, the driver keeps the min per qid (a
+    qid's rows may span blocks), then histograms and cumsums."""
     best: dict = {}
-    parts = results_ds.select_columns(["qid", "rank", "has_answer"]).map_batches(
-        best_hits, batch_format="pyarrow"
-    )
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for qid, r in zip(b["qid"].to_pylist(), b["best_hit"].to_pylist()):
+    for b in results_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if b.num_rows == 0:
+            continue
+        hit = b.select(["qid", "rank"]).filter(pc.fill_null(b["has_answer"], False))
+        g = hit.group_by("qid").aggregate([("rank", "min")])
+        for qid, r in zip(g["qid"].to_pylist(), g["rank_min"].to_pylist()):
             best[qid] = min(r, best.get(qid, r))
     ranks = np.fromiter(best.values(), dtype=np.int64, count=len(best))
     ranks = ranks[(ranks > 0) & (ranks <= k)]  # 1-based; past k is no hit
@@ -185,24 +235,62 @@ def top_k_hits(results_ds, n_queries: int, k: int):
     }
 
 
+# json.dump's string encoder under ensure_ascii (the C one where built)
+_escape = json.encoder.encode_basestring_ascii
+
+# one ctx of json.dump(entries, f, indent=1): a dict at indent level 3
+_CTX = ('{\n    "id": %s,\n    "title": %s,\n    "text": %s,\n'
+        '    "score": "%.6f",\n    "has_answer": %s\n   }')
+
+
+def _json(value, level: int) -> str:
+    """``value`` as json.dump(..., indent=1) writes it at indent ``level``."""
+    if isinstance(value, str):
+        return _escape(value)
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
+
+
+def _json_column(col, level: int) -> list:
+    """Each row of ``col`` JSON-encoded, each distinct value encoded once."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    vals = [_json(v, level) for v in enc.dictionary.to_pylist()]
+    vals.append("null")
+    return list(map(vals.__getitem__,
+                    pc.fill_null(enc.indices, len(vals) - 1).to_pylist()))
+
+
 def save_results(results_ds, out_path: str, answers_ref=None) -> int:
     """Write the reference-shaped results JSON (``dense_retriever.py:356-369``;
     FIXTURES.md F5): per question with result rows {question, answers, ctxs:
     [{id, title, text, score (6-decimal string), has_answer}]}, ctxs in rank
-    order, entries sorted by (question, qid); rows fold per qid on the driver."""
+    order (a stable sort: equal ranks keep their row order), entries sorted
+    by (question, qid). The bytes are those of
+    ``json.dump(entries, f, indent=1)``: each block's id, title and text
+    columns are dictionary-encoded and every distinct value escaped once,
+    each row fills a fixed ctx template, and the file is written entry by
+    entry. Iterates the result's blocks on the driver, with no second
+    execution over a materialized result."""
     answers = ray.get(answers_ref) if answers_ref is not None else {}
-    cols = ["qid", "question", "rank", "ext_id", "title", "content", "score", "has_answer"]
     by_qid: dict = {}
-    for b in results_ds.iter_batches(batch_format="pyarrow"):
-        rows = zip(*(b[c].to_pylist() for c in cols))
+    for b in results_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if b.num_rows == 0:
+            continue
+        hits = ["true" if h else "false" for h in b["has_answer"].to_pylist()]
+        rows = zip(b["qid"].to_pylist(), b["question"].to_pylist(),
+                   b["rank"].to_pylist(), _json_column(b["ext_id"], 4),
+                   _json_column(b["title"], 4), _json_column(b["content"], 4),
+                   b["score"].to_pylist(), hits)
         for qid, question, rank, ext_id, title, text, score, hit in rows:
-            ctx = {"id": ext_id, "title": title, "text": text,
-                   "score": f"{score:.6f}", "has_answer": bool(hit)}
+            ctx = _CTX % (ext_id, title, text, score, hit)
             by_qid.setdefault(qid, (question, []))[1].append((rank, ctx))
-    out = []
-    for qid, (question, ctxs) in sorted(by_qid.items(), key=lambda e: (e[1][0], e[0])):
-        out.append({"question": question, "answers": answers.get(qid, []),
-                    "ctxs": [c for _, c in sorted(ctxs, key=itemgetter(0))]})
+    entries = sorted(by_qid.items(), key=lambda e: (e[1][0], e[0]))
     with open(out_path, "w") as f:
-        json.dump(out, f, indent=1)
-    return len(out)
+        for i, (qid, (question, ctxs)) in enumerate(entries):
+            ctxs.sort(key=itemgetter(0))
+            f.write("%s\n {\n  \"question\": %s,\n  \"answers\": %s,\n"
+                    "  \"ctxs\": [\n   " % ("," if i else "[", _json(question, 2),
+                                           _json(answers.get(qid, []), 2)))
+            f.write(",\n   ".join(c for _, c in ctxs))
+            f.write("\n  ]\n }")
+        f.write("\n]" if entries else "[]")
+    return len(entries)

@@ -29,8 +29,11 @@ def retrieve_and_evaluate(
     content, has_answer — the flattened form of the reference's output JSON.
     Metrics replicate ``top_k_hits`` accuracy (``qa_validation.py:72-79``).
     Nothing after retrieval shuffles: answer matching is a task per block
-    that fuses with the query and doc-join tasks (one operator, no actor),
-    and the metrics and the results JSON reduce on the driver.
+    that fuses with the query and doc-join tasks (one operator, no actor;
+    string mode tokenizes only the passages that can hold an answer), and
+    the metrics and the results JSON reduce the materialized blocks on the
+    driver, with no second execution. The JSON is written entry by entry
+    from Arrow columns, byte-identical to ``json.dump(..., indent=1)``.
     """
     ensure_shippable()
     answers_map = {

@@ -41,6 +41,7 @@ import pyarrow as pa
 import ray
 
 from .._shipping import ensure_shippable
+from ..util import ids_int64
 
 logger = logging.getLogger("dpr_ray.components")
 
@@ -106,8 +107,8 @@ def connected_components(
     ensure_shippable()
 
     def explode_adj(batch: pa.Table) -> pa.Table:
-        a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        a = ids_int64(batch[a_col])
+        b = ids_int64(batch[b_col])
         return pa.table(
             {
                 "node": pa.array(np.concatenate([a, b]), pa.int64()),
@@ -214,7 +215,7 @@ def assign_clusters(docs, comp_labels, id_col: str = "docid"):
     ensure_shippable()
 
     def self_labels(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = ids_int64(batch[id_col])
         return pa.table(
             {"node": pa.array(ids, pa.int64()), "label": pa.array(ids, pa.int64())}
         )

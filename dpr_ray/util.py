@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 P31 = (1 << 31) - 1  # Mersenne prime; 31-bit hashes keep all products in u64
 
@@ -83,6 +85,16 @@ def map_per_block(ds, cls, kwargs: dict):
     return ds.map_batches(
         task, fn_kwargs=kwargs, batch_format="pyarrow", batch_size=None
     )
+
+
+def ids_int64(col) -> np.ndarray:
+    """An integer id column (Arrow or numpy) as int64 numpy, refusing ids an
+    int64 cannot hold: a uint64 id at or above 2^63 raises ``ValueError``
+    instead of wrapping to a negative id, as ``astype(np.int64)`` does."""
+    try:
+        return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
+    except pa.ArrowInvalid as e:
+        raise ValueError(f"id column holds a value outside int64: {e}") from None
 
 
 def round_half_away(x, decimals: int = 6) -> np.ndarray:

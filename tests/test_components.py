@@ -112,3 +112,60 @@ def test_max_rounds_cap_warns(ray_session, caplog):
     full = _uf_labels(edges)
     got = dict(zip(out["node"], out["label"]))
     assert all(got[n] >= full[n] for n in full)  # upper bound on canonical
+
+
+
+def test_ids_int64_refuses_what_int64_cannot_hold():
+    from dpr_ray.util import ids_int64
+
+    top = 2**63 - 1
+    got = ids_int64(pa.array([top, 0], pa.uint64()))
+    assert got.dtype == np.int64 and got.tolist() == [top, 0]
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match="outside int64"):
+            ids_int64(pa.array([1, big], pa.uint64()))
+        with pytest.raises(ValueError, match="outside int64"):
+            ids_int64(np.array([big], np.uint64))
+
+
+def _u64_edges_ds(edges):
+    a, b = zip(*edges)
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "docid_a": pa.array(list(a), pa.uint64()),
+                "docid_b": pa.array(list(b), pa.uint64()),
+            }
+        )
+    )
+
+
+# a stage's ValueError reaches the caller wrapped by Ray Data
+# (UserCodeException), its message kept
+@pytest.mark.parametrize("limit", [2_000_000, 0])  # driver UF / distributed
+def test_cc_uint64_ids_exact_or_refused(ray_session, limit):
+    """uint64 ids up to 2^63-1 keep their value; 2^63 and above are
+    refused instead of wrapping to negative nodes."""
+    top = 2**63 - 1
+    out = connected_components(
+        _u64_edges_ds([(top, top - 1), (5, top)]), driver_edge_limit=limit
+    ).to_pandas()
+    assert dict(zip(out["node"], out["label"])) == {
+        5: 5, top - 1: 5, top: 5,
+    }
+    for edge in [(2**63, 3), (2**64 - 1, 3), (2**63 + 1, 2**63 + 2)]:
+        with pytest.raises(Exception, match="outside int64"):
+            connected_components(_u64_edges_ds([edge]), driver_edge_limit=limit)
+
+
+def test_assign_clusters_uint64_ids_exact_or_refused(ray_session):
+    def docs(ids):
+        return ray.data.from_arrow(pa.table({"docid": pa.array(ids, pa.uint64())}))
+
+    top = 2**63 - 1
+    no_edges = connected_components(_edges_ds([]))
+    out = assign_clusters(docs([top, 4]), no_edges).to_pandas()
+    assert dict(zip(out["docid"], out["cluster_id"])) == {top: top, 4: 4}
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(Exception, match="outside int64"):
+            assign_clusters(docs([big, 4]), no_edges).materialize()

@@ -240,6 +240,189 @@ def test_attach_has_answer_from_meta_matches_per_row_loop(
         assert attach(batch)["has_answer"].to_pylist() == want
 
 
+
+# ---------------------------------------------- string-mode pre-test fuzz --
+
+# Σ/ς/σ and the other characters whose case mapping is not one code point
+# to one (İ, ß/ẞ, ﬁ, the Kelvin sign, ǅ), combining marks, CJK, apostrophes
+# and punctuation
+_FUZZ_ALPHABET = (
+    ["Σ", "ς", "σ", "Ο", "Δ", "ο", "δ", "\u0301", "\u0308", "\u0345",
+     "İ", "i", "I", "ß", "ẞ", "ss", "ﬁ", "fi", "K", "k", "\u212a", "ǅ", "ǆ",
+     "Ǆ", "中", "文", "'", "’", ".", "-", "!", "é", "e", "a", "A"]
+    + [" "] * 6
+)
+
+
+def _fuzz_text(rng, n):
+    return "".join(rng.choices(_FUZZ_ALPHABET, k=n))
+
+
+def _fuzz_answer(rng, texts):
+    # half the answers are slices of a text (so that many rows match), with
+    # a case change sometimes; the rest are drawn from the alphabet
+    if texts and rng.random() < 0.5:
+        t = rng.choice(texts)
+        i = rng.randrange(len(t) + 1)
+        a = t[i:i + rng.randint(0, 8)]
+        return a.upper() if rng.random() < 0.3 else a
+    return _fuzz_text(rng, rng.randint(0, 6))
+
+
+def test_match_batch_string_pretest_equals_per_row():
+    """Seeded fuzz: the folded-substring pre-test never drops a row that
+    has_answer_string matches, on texts and answers built from characters
+    whose lowercase depends on context or is not one code point."""
+    import random
+
+    rng = random.Random(18)
+    rows = hits = 0
+    for _ in range(600):
+        texts = [_fuzz_text(rng, rng.randint(0, 24)) for _ in range(rng.randint(1, 6))]
+        answers = {
+            f"q{j}": [_fuzz_answer(rng, texts) for _ in range(rng.randint(0, 3))]
+            for j in range(rng.randint(1, 4))
+        }
+        qids = [rng.choice(list(answers) + ["q_none"]) for _ in range(rng.randint(0, 40))]
+        codes = [None if rng.random() < 0.05 else rng.randrange(len(texts)) for _ in qids]
+        got = qa.match_batch("string", answers, qids, codes, texts).to_pylist()
+        want = [c is not None and qa.has_answer_string(answers.get(q, []), texts[c])
+                for q, c in zip(qids, codes)]
+        assert got == want, (answers, qids, codes, texts)
+        rows += len(want)
+        hits += sum(want)
+    # the fuzz exercises both outcomes
+    assert rows > 5000 and 0.05 < hits / rows < 0.95
+
+
+def test_match_batch_string_pretest_from_meta_equals_per_row(ray_session):
+    import random
+
+    import ray
+
+    from dpr_ray.eval.meta import AttachHasAnswerFromMeta, attach_meta
+
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(0, 30)
+        pool = [_fuzz_text(rng, rng.randint(1, 20)) for _ in range(4)]
+        texts = [rng.choice(pool) for _ in range(n)]
+        titles = [rng.choice([None, "", "Σ", "ΟΔΟΣ", _fuzz_text(rng, 4)]) for _ in range(n)]
+        answers = {f"q{j}": [_fuzz_answer(rng, pool) for _ in range(2)] for j in range(3)}
+        qids = [rng.choice(list(answers)) for _ in range(n)]
+        batch = attach_meta(pa.table({
+            "qid": pa.array(qids, pa.string()),
+            "title": pa.array(titles, pa.string()),
+            "content": pa.array(texts, pa.string()),
+        }))
+        for prepend in (True, False):
+            attach = AttachHasAnswerFromMeta(ray.put(answers), match="string",
+                                             prepend_title=prepend)
+            want = [
+                qa.has_answer_string(answers[q], f"{ti} . {te}" if prepend and ti else te)
+                for q, ti, te in zip(qids, titles, texts)
+            ]
+            assert attach(batch)["has_answer"].to_pylist() == want
+
+
+def test_match_batch_string_final_sigma():
+    """"ΟΔΟΣ'A" tokenizes to οδος (the token ends the word: final ς) but
+    lowercases whole to οδοσ'a (an apostrophe and a letter follow the Σ):
+    a plain lowercase-substring pre-test would drop this match."""
+    from dpr_ray import analyzer
+
+    text, answer = "ΟΔΟΣ'A", "οδος"
+    assert analyzer.tokenize(text)[0] == "οδος" and "οδος" not in text.lower()
+    assert not all(t in text.lower() for t in analyzer.tokenize(answer))
+    assert qa.has_answer_string([answer], text)
+    assert qa.match_batch("string", {"q": [answer]}, ["q"], [0], [text]).to_pylist() == [True]
+
+
+# ------------------------------------------------ save_results byte identity --
+
+_RESULT_SCHEMA = pa.schema([
+    ("qid", pa.string()), ("question", pa.string()), ("rank", pa.int64()),
+    ("docid", pa.int64()), ("score", pa.float64()), ("ext_id", pa.string()),
+    ("title", pa.string()), ("content", pa.string()), ("has_answer", pa.bool_()),
+])
+
+
+def _result_block(rows, schema=_RESULT_SCHEMA):
+    cols = list(zip(*rows)) if rows else [[] for _ in schema]
+    return pa.table([pa.array(list(c), f.type) for c, f in zip(cols, schema)],
+                    schema=schema)
+
+
+def _assert_save_results_identical(tmp_path, blocks, answers):
+    import ray
+    import ray.data
+    from results_reference import ref_save_results
+
+    ds = ray.data.from_arrow(blocks).materialize()
+    assert ds.num_blocks() == len(blocks)
+    ref = ray.put(answers)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert qa.save_results(ds, str(got), ref) == ref_save_results(ds, str(want), ref)
+    assert got.read_bytes() == want.read_bytes()
+    return json.loads(got.read_bytes())
+
+
+_ODD_TEXT = 'naïve "quoted" \\ back\\slash \x00\x01\x1f\t\n tab\u2028line\u2029 😀 中文 ΟΔΟΣ'
+
+
+def test_save_results_bytes_match_reference_writer(ray_session, tmp_path):
+    """The column encoder writes the bytes of the dict-fold + json.dump
+    writer on escapes, null titles, equal and out-of-order ranks, a qid
+    spanning two blocks, qids sharing one question, a question with no
+    rows and an empty answers list."""
+    b1 = _result_block([
+        ("q2", "shared ?", 3, 7, 1.25, "e7", None, _ODD_TEXT, True),
+        ("q1", _ODD_TEXT, 2, 8, 2.0000005, "é/8", "T\"8", "plain", False),
+        ("q2", "shared ?", 1, 9, 3.5, "e9", "", _ODD_TEXT, False),
+        ("q3", "shared ?", 1, 9, 3.5, "e9", "", _ODD_TEXT, None),
+        ("q1", _ODD_TEXT, 2, 10, 2.0, "e10", "t", "other", True),
+    ])
+    b2 = _result_block([
+        ("q2", "shared ?", 2, 11, -0.0, "e11", "\u2028", "x", False),
+        ("q1", _ODD_TEXT, 1, 12, 1e-7, "e12", None, "plain", True),
+        ("q0", "alone", 1, 7, 123456.789, "e7", None, _ODD_TEXT, False),
+    ])
+    answers = {
+        "q1": ["ans", 'with "quote"', "\u2028", "中"],
+        "q2": [],
+        "q3": ["x"],
+        "q_no_rows": ["never written"],
+    }
+    data = _assert_save_results_identical(tmp_path, [b1, b2], answers)
+    assert [e["question"] for e in data] == ["alone", _ODD_TEXT, "shared ?", "shared ?"]
+    assert [c["id"] for c in data[1]["ctxs"]] == ["e12", "é/8", "e10"]
+    assert [c["id"] for c in data[2]["ctxs"]] == ["e9", "e11", "e7"]
+    # q0 has no answers entry at all
+    assert data[0]["answers"] == [] and data[2]["answers"] == []
+    # one block, the qid's rows in one block, and every row in the first
+    _assert_save_results_identical(tmp_path, [pa.concat_tables([b1, b2])], answers)
+    _assert_save_results_identical(tmp_path, [b2, b1], answers)
+
+
+def test_save_results_bytes_int_ext_id_and_empty(ray_session, tmp_path):
+    schema = _RESULT_SCHEMA.set(
+        _RESULT_SCHEMA.get_field_index("ext_id"), pa.field("ext_id", pa.int64())
+    )
+    rows = [
+        ("q1", "int ids", 2, 1, 0.5, 2**62, "t", "x", False),
+        ("q1", "int ids", 1, 2, 0.75, -3, None, "y", True),
+        ("q2", "null id", 1, 3, 0.25, None, "t", "z", True),
+    ]
+    data = _assert_save_results_identical(
+        tmp_path, [_result_block(rows, schema)], {"q1": ["y"]}
+    )
+    assert [c["id"] for c in data[0]["ctxs"]] == [-3, 2**62]
+    assert data[1]["ctxs"][0]["id"] is None
+    # an empty result is "[]"
+    assert _assert_save_results_identical(tmp_path, [_result_block([])], {"q1": ["y"]}) == []
+    assert (tmp_path / "got.json").read_bytes() == b"[]"
+
+
 def test_top_k_hits_qid_split_across_blocks(ray_session):
     """One qid's rows span two blocks with its best hit in the second: the
     per-block partials must be min-combined on the driver. Hits past k
@@ -271,7 +454,8 @@ def test_save_results_bytes_match_oracle_golden(ray_session, tmp_path, monkeypat
     """save_results writes the oracle-built golden byte for byte: qids
     sharing one question text are ordered by qid, a question that
     retrieves nothing has no entry, and neither top_k_hits nor
-    save_results runs a groupby or sort."""
+    save_results runs a groupby, a sort or a second execution over the
+    materialized result."""
     import ray.data
 
     from dpr_ray import corpus as corpus_mod
@@ -333,6 +517,13 @@ def test_save_results_bytes_match_oracle_golden(ray_session, tmp_path, monkeypat
 
     monkeypatch.setattr(dataset_mod.Dataset, "groupby", no_shuffle)
     monkeypatch.setattr(dataset_mod.Dataset, "sort", no_shuffle)
+
+    # nor a second execution over the materialized result
+    def no_execution(*a, **kw):
+        raise AssertionError("map_batches/select_columns after materialize")
+
+    monkeypatch.setattr(dataset_mod.Dataset, "map_batches", no_execution)
+    monkeypatch.setattr(dataset_mod.Dataset, "select_columns", no_execution)
     assert qa.top_k_hits(res, n_queries=len(cases), k=5) == metrics
     again = tmp_path / "again.json"
     answers_ref = ray.put({c[0]: c[2] for c in cases})
