@@ -2,31 +2,43 @@
 
 Ray-Data restatement of the reference's index-build front half
 (``generate_dense_embeddings.py:41-149`` + ``faiss_indexers.py:86-105``),
-with postings instead of dense vectors:
+with postings instead of dense vectors. A fresh build is TWO Ray Data
+executions, and each document is tokenized once:
 
-  read corpus → map_batches(Featurize) → sort(docid) →
-  map_batches(DocstoreWriter)  — ONE fused execution that writes the
-       docid-sorted docstore AND emits partials for the global stats
-       (N, avgdl, max docid — the A5-analog aggregates) and the
-       deterministic docid%mod head-term df sample (skew plan); the
-       stats + salt plan persist in the docstore checkpoint entry
-  → map_batches(EmitEncodedPostings)  — map-side combine over batches of
-       N / CPUs docs (≤ 8192): per-(term, salt) delta+varint-encoded
-       sub-lists (small terms via the BATCHED single-block encoder — one
-       numpy pass per batch, which survives code-scale vocabularies); head
-       terms salted by docid RANGE (salt = docid >> shift) so groups stay
-       ≤ group_budget postings (skew: SURVEY §4)
-  → groupby(tbucket, salt).map_groups(merge_bucket)  — the ONLY shuffle,
-       moving compressed sub-lists; groups are term BUCKETS (16), not terms
-       (map_groups costs ~1ms Python per group). Each bucket goes through
-       the segment codec (segments.decode_blocks → encode_bucket): small
-       terms batched, head terms per-term with slice_id = salt*64 + i
-       (ordered docid ranges ⇒ slices concatenate sorted).
-       Same skew plan + same corpus ⇒ byte-identical segments at any
-       parallelism (resume determinism; the plan is a deterministic
-       function of the corpus sample).
-  → parallel hive writer (segments/tbucket=i/; index/io.py). Both
-       executions run via util.full_width, so their map stages use every CPU.
+  1. read corpus → map_batches(FeaturizeRows) → sort(docid) →
+     map_batches(DocstoreWriter), one task per sorted block, materialized.
+     The writer tokenizes each doc once (slices of ≤ 8,192 docs), sets
+     ``doclen``, writes the docid-sorted docstore part, and returns the
+     block's stats row (docs, Σ doclen, max docid), its deterministic
+     ``docid % sample_mod`` head-term df sample and its delta+varint
+     encoded, UNSALTED per-term sub-lists (map-side combine: the shuffle
+     moves a few bytes per posting, not tokens). On the driver, one small
+     task per output block projects the stats and sample rows, and the
+     driver reduces them to N, avgdl, max docid, the part-count check and
+     the salt plan, with no AllToAll execution and without fetching the
+     sub-lists. The stats + salt plan persist in the docstore checkpoint.
+  2. the materialized sub-lists → (only when the plan salts a term)
+     map_batches(split_salted): head terms' rows are decoded and cut by
+     docid RANGE (salt = docid >> shift) so groups stay ≤ group_budget
+     postings (skew: SURVEY §4) → groupby(tbucket, salt).map_groups(
+     merge_bucket) — the ONLY data shuffle; groups are term BUCKETS (16),
+     not terms (map_groups costs ~1ms Python per group). Each bucket
+     goes through the segment codec (segments.decode_blocks →
+     encode_bucket) with the corpus avgdl: small terms batched, head
+     terms per-term with slice_id = salt*64 + i (ordered docid ranges ⇒
+     slices concatenate sorted) → parallel hive writer
+     (segments/tbucket=i/; index/io.py).
+
+The salt plan can wait until after pass 1 because no sub-list bound is
+ever read: merge_bucket decodes every sub-list and re-encodes it with the
+corpus avgdl, so only the head terms' rows need re-splitting. Same skew
+plan + same corpus ⇒ byte-identical segment rows at any parallelism
+(resume determinism; the plan is a deterministic function of the corpus
+sample). Both executions run via util.full_width, so their map stages use
+every CPU. A build resumed from its docstore checkpoint reads the
+docstore back and tokenizes again (EmitEncodedPostings); with
+``partition_resume`` the sub-lists are spilled, per tbucket, before
+their merge.
 
 The driver never materializes the corpus (the reference holds all passages
 in driver RAM — ``dense_retriever.py:461-469`` — the one scalability sin this
@@ -36,16 +48,18 @@ design removes).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import logging
 import os
 import time
-from collections import Counter
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
+from ray.data.aggregate import Count, Sum
 
 from .. import analyzer
 from ..config import (
@@ -54,8 +68,8 @@ from ..config import (
     DEFAULT_GROUP_BUDGET,
     DEFAULT_TERM_BUCKETS,
 )
-from ..stages.featurize import Featurize
-from ..util import full_width
+from ..stages.featurize import Featurize, FeaturizeRows, with_doclen
+from ..util import block_refs, full_width, run_starts
 from . import manifest as man
 from . import segments as seg
 from .manifest import write_manifest
@@ -63,20 +77,83 @@ from .manifest import write_manifest
 log = logging.getLogger(__name__)
 
 
-class EmitEncodedPostings:
-    """Docstore batch → PRE-ENCODED per-(term, salt) posting sub-lists.
+# docs a DocstoreWriter task tokenizes at once: bounds the tokens a task
+# holds to those of one resumed-path Emit batch (≤ 8,192 docs)
+SLICE_DOCS = 8192
 
-    Map-side combine: tokenize + tf-count each doc, gather the batch's
-    postings per term, delta+varint-encode them BEFORE the shuffle — the
-    groupby then moves compressed sub-lists (a few bytes per posting, one
-    row per term per batch) instead of raw (term, docid, tf, dl) rows.
-    Measured ~4x on the bench corpus vs shuffling raw postings.
+# BM25 params and avgdl of the sub-lists' block bounds. Nothing reads those
+# bounds: merge_bucket decodes every sub-list and re-encodes it with the
+# corpus avgdl, which the docstore pass emits its sub-lists before knowing.
+_SUBLIST_PARAMS = BM25Params()
+_SUBLIST_AVGDL = 1.0
 
-    Skew plan: head terms (the {term: shift} map, pickled with the
-    instance) are salted by docid RANGE — salt = docid >> shift — so each
+
+def group_postings(token_lists: list[list[str]]):
+    """A batch's postings grouped by term in ONE vectorized pass: tokens
+    become term ids (one Arrow dictionary encode), and ``np.unique`` over
+    the (term id, row) keys yields each posting once with its tf. Returns
+    (terms, starts, rows, tfs, lens): term i owns postings
+    ``[starts[i], starts[i+1])`` (the last run ends at ``len(rows)``), in
+    row order — docid order for a docid-sorted batch; ``lens`` is each
+    row's token count (its BM25 ``dl``)."""
+    n = len(token_lists)
+    lens = np.fromiter(map(len, token_lists), np.int64, n)
+    enc = pc.dictionary_encode(
+        pa.array(list(itertools.chain.from_iterable(token_lists)), pa.string())
+    )
+    keys = enc.indices.to_numpy().astype(np.int64) * n + np.repeat(
+        np.arange(n, dtype=np.int64), lens
+    )
+    keys, tfs = np.unique(keys, return_counts=True)
+    tids, rows = np.divmod(keys, n) if n else (keys, keys)
+    starts = run_starts(tids)
+    terms = enc.dictionary.take(pa.array(tids[starts])).to_pylist()
+    return terms, starts, rows, tfs.astype(np.uint64), lens
+
+
+def encode_sublists(terms, starts, docids, tfs, dls, shift_map, avgdl,
+                    params, num_tbuckets) -> pa.Table:
+    """Single-block sub-lists (segment rows + ``salt``) of term-grouped
+    postings (``group_postings``' layout, docid-sorted in each term).
+    Head terms of ``shift_map`` ({term: shift}) are salted by docid RANGE:
+    a run is cut wherever ``salt = docid >> shift`` changes, so each
     (term, salt) group holds ≤ ~group_budget postings and, because ranges
-    are ordered, the per-salt merged lists concatenate docid-sorted: the
-    final segment stores them as slice_id = salt."""
+    are ordered, the per-salt merged lists concatenate docid-sorted (the
+    segment stores them as slice ids from salt * 64). Other terms carry
+    salt 0. One ``encode_single_block_lists`` call encodes them all."""
+    n = len(docids)
+    docids = docids.astype(np.uint64)
+    salts = np.zeros(len(terms), np.int64)
+    if shift_map:
+        tid = np.repeat(np.arange(len(terms)), np.diff(np.append(starts, n)))
+        shift = np.array([shift_map.get(t, -1) for t in terms], np.int64)[tid]
+        salt = np.zeros(n, np.int64)
+        on = shift >= 0
+        salt[on] = (docids[on] >> shift[on].astype(np.uint64)).astype(np.int64)
+        starts = run_starts(tid, salt)
+        terms = [terms[i] for i in tid[starts]]
+        salts = salt[starts]
+    tbl, _ = seg.encode_single_block_lists(
+        terms, np.append(starts, n).astype(np.int64), docids, tfs, dls,
+        avgdl, params, num_tbuckets, salts=salts,
+    )
+    return tbl
+
+
+class EmitEncodedPostings:
+    """Docstore batch (docid, content, doclen) → PRE-ENCODED per-(term,
+    salt) posting sub-lists: the segments input of a build RESUMED from
+    its docstore checkpoint, the one path that reads the docstore back and
+    tokenizes a second time (a fresh build emits its sub-lists in
+    ``DocstoreWriter``).
+
+    Map-side combine: the batch's postings are grouped by term in one
+    vectorized pass (``group_postings``) and delta+varint-encoded BEFORE
+    the shuffle — the groupby then moves compressed sub-lists (a few bytes
+    per posting, one row per term per batch) instead of raw (term, docid,
+    tf, dl) rows — measured ~4x on the bench corpus vs shuffling raw
+    postings. Head terms of the {term: shift} map (pickled with the
+    instance) are salted by docid range (``encode_sublists``)."""
 
     def __init__(self, shift_map, avgdl, params, num_tbuckets, block_size):
         self.shift_map = shift_map
@@ -88,93 +165,41 @@ class EmitEncodedPostings:
     def __call__(self, batch: pa.Table) -> pa.Table:
         docids = batch["docid"].to_numpy(zero_copy_only=False)
         dls = batch["doclen"].to_numpy(zero_copy_only=False)
-        texts = batch["content"].to_pylist()
-        token_lists = analyzer.tokenize_batch(texts)
-        per_term: dict[str, tuple[list, list, list]] = {}
-        for i, toks in enumerate(token_lists):
-            d = int(docids[i])
-            l = int(dls[i])
-            for t, c in Counter(toks).items():
-                e = per_term.get(t)
-                if e is None:
-                    e = per_term[t] = ([], [], [])
-                e[0].append(d)
-                e[1].append(c)
-                e[2].append(l)
-        # unsalted terms go through the BATCHED single-block encoder (one
-        # numpy pass for the whole batch — per-term numpy calls dominate on
-        # code-scale vocabularies); salted head terms (few) per-term
-        u_terms: list[str] = []
-        u_off = [0]
-        u_d: list[int] = []
-        u_tf: list[int] = []
-        u_dl: list[int] = []
-        rows: list[dict] = []
-        salts: list[int] = []
-        for t, (d_l, tf_l, dl_l) in per_term.items():
-            shift = self.shift_map.get(t)
-            if shift is None:
-                u_terms.append(t)
-                u_d.extend(d_l)
-                u_tf.extend(tf_l)
-                u_dl.extend(dl_l)
-                u_off.append(len(u_d))
-            else:
-                d = np.array(d_l, dtype=np.uint64)
-                tf = np.array(tf_l, dtype=np.uint64)
-                dl = np.array(dl_l, dtype=np.uint64)
-                sv = (d >> np.uint64(shift)).astype(np.int64)
-                for s in np.unique(sv):
-                    mask = sv == s
-                    new = seg.encode_posting_list(
-                        t, d[mask], tf[mask], dl[mask],
-                        self.avgdl, self.params, self.num_tbuckets,
-                        block_size=1 << 30, max_postings_per_slice=1 << 62,
-                    )
-                    rows.extend(new)
-                    salts.extend([int(s)] * len(new))
-        small_tbl, _ = seg.encode_single_block_lists(
-            u_terms,
-            np.asarray(u_off, dtype=np.int64),
-            np.asarray(u_d, dtype=np.uint64),
-            np.asarray(u_tf, dtype=np.uint64),
-            np.asarray(u_dl, dtype=np.uint64),
-            self.avgdl, self.params, self.num_tbuckets,
-            salts=np.zeros(len(u_terms), dtype=np.int64),
+        terms, starts, rows, tfs, _ = group_postings(
+            analyzer.tokenize_batch(batch["content"].to_pylist())
         )
-        if rows:
-            big_tbl = seg.rows_to_table(rows).append_column(
-                "salt", pa.array(salts, pa.int64())
-            )
-            return pa.concat_tables([small_tbl, big_tbl])
-        return small_tbl
+        return encode_sublists(
+            terms, starts, docids[rows], tfs, dls[rows].astype(np.uint64),
+            self.shift_map, self.avgdl, self.params, self.num_tbuckets,
+        )
+
+
+def split_salted(batch: pa.Table, shift_map, num_tbuckets) -> pa.Table:
+    """Unsalted sub-lists (``DocstoreWriter`` output) → the same postings
+    with the head terms of ``shift_map`` cut into their docid-range salts
+    (``encode_sublists``); the other rows pass through unchanged. Only
+    the head terms' rows are decoded."""
+    names = seg.SEGMENT_SCHEMA.names + ["salt"]
+    head = pc.is_in(batch["term"],
+                    value_set=pa.array(list(shift_map), pa.string()))
+    rest = batch.filter(pc.invert(head)).select(names)
+    head = batch.filter(head)
+    if head.num_rows == 0:
+        return rest
+    docids, tfs, dls, rows, _ = seg.decode_blocks(head)
+    starts = run_starts(rows)  # a row's postings: contiguous, docid-sorted
+    row_terms = head["term"].to_pylist()
+    split = encode_sublists(
+        [row_terms[r] for r in rows[starts]], starts, docids, tfs, dls,
+        shift_map, _SUBLIST_AVGDL, _SUBLIST_PARAMS, num_tbuckets,
+    )
+    return pa.concat_tables([rest, split])
 
 
 def emit_batch_size(n_docs: int, cpus: int) -> int:
-    """Docs per Emit batch: ceil(N / CPUs) in [1, 8192] (see build_index)."""
+    """Docs per Emit batch on the resumed path: ceil(N / CPUs) in
+    [1, 8192] (see build_index)."""
     return max(1, min(8192, math.ceil(n_docs / cpus)))
-
-
-_PARTIAL_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("df_part", pa.int64()),
-        ("cnt", pa.int64()),
-        ("sum_dl", pa.int64()),
-        # ORDER-PRESERVING-ENCODED int64 (x - 2^63): provided docids use
-        # the full 64-bit space, and BOTH raw int64 (overflow at 2^63 in
-        # the writer) and raw uint64 (Ray's Max aggregate rebuilds values
-        # through Python ints as int64, overflowing at 2^64-1 in the
-        # reduce) fail at the edges; the shifted encoding is total
-        ("max_docid_s", pa.int64()),
-        # 1 on the per-block stats row, 0 on term rows: Sum("blocks") is the
-        # number of blocks WRITTEN, checked against the number of part files
-        # on disk (two blocks with an identical docid range — a duplicated
-        # docid split into two singleton blocks by the sort — would write
-        # the same filename, silently dropping a row)
-        ("blocks", pa.int64()),
-    ]
-)
 
 
 def docstore_part_name(docids: np.ndarray) -> str:
@@ -183,18 +208,6 @@ def docstore_part_name(docids: np.ndarray) -> str:
     _write_docstore_ranged — _check_docstore_ranges' filename slicing
     (f[5:25]/f[26:46]) depends on this exact format."""
     return f"part-{int(docids[0]):020d}-{int(docids[-1]):020d}.parquet"
-
-
-def encode_max_docid_s(x: int) -> int:
-    """Order-preserving int64 encoding of a uint64 max_docid partial (see
-    _PARTIAL_SCHEMA's max_docid_s comment); shared with merge.py."""
-    return int(x) - (1 << 63)
-
-
-def decode_max_docid_s(mx) -> int:
-    """Inverse of encode_max_docid_s; a None aggregate (zero data rows)
-    decodes to docid 0."""
-    return (int(mx) + (1 << 63)) if mx is not None else 0
 
 
 def check_block_duplicates(docids: np.ndarray, advice: str) -> None:
@@ -213,29 +226,40 @@ def check_block_duplicates(docids: np.ndarray, advice: str) -> None:
 
 
 class DocstoreWriter:
-    """Terminal docstore stage: writes each docid-sorted block as one
-    parquet file (named by its docid range — idempotent under task retry,
-    range-prunable by DocJoin) and emits TINY partial rows that fold the
-    former stats and skew-sample executions into this single pass:
+    """The docstore stage of a fresh build, run on each docid-sorted
+    block (``FeaturizeRows`` output): it tokenizes every document ONCE, in
+    slices of at most ``slice_docs`` docs, and from those tokens
 
-    - one ``term=""`` row per block with (cnt, sum_dl, max_docid) partials
-      (the A5-analog global aggregates),
-    - one (term, df_part) row per term seen in the block's deterministic
-      ``docid % sample_mod == 0`` sample (drives the head-term salt plan).
+    - sets ``doclen`` and writes the block as one docstore parquet file
+      (named by its docid range — idempotent under task retry,
+      range-prunable by DocJoin);
+    - returns the block's encoded, UNSALTED per-term sub-lists (segment
+      rows + ``salt`` = 0, one row per term per slice; their block bounds
+      are placeholders, see ``_SUBLIST_AVGDL``), each with ``sample_df``,
+      the term's df over the block's deterministic ``docid % sample_mod
+      == 0`` sample (drives the head-term salt plan);
+    - returns one stats row per block under the empty term (no token is
+      empty): df = docs, cf = Σ doclen, block_last = [max docid], and no
+      encoded block, so the shuffle and ``merge_bucket`` carry it as a
+      posting-free row.
 
-    Each standalone Dataset execution costs seconds of fixed dispatch on
-    top of the work — measured ~7s of the build's non-scaling time at both
-    8 and 32 CPUs before the fold."""
+    The driver reads only the stats and sample rows (``_block_partials``)
+    to get N, avgdl, max docid, the part count and the salt plan, then
+    shuffles the sub-lists as they are, so a fresh build tokenizes each
+    document once and runs two Ray executions."""
 
-    def __init__(self, out_dir: str, sample_mod: int):
+    def __init__(self, out_dir: str, sample_mod: int, num_tbuckets: int,
+                 slice_docs: int):
         self.out_dir = out_dir
         self.sample_mod = sample_mod
+        self.num_tbuckets = num_tbuckets
+        self.slice_docs = slice_docs
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq_
 
         if batch.num_rows == 0:
-            return pa.Table.from_pylist([], schema=_PARTIAL_SCHEMA)
+            return _sublists(self.num_tbuckets, *_NO_POSTINGS)
         docids = batch["docid"].to_numpy(zero_copy_only=False)
         check_block_duplicates(
             docids,
@@ -245,39 +269,63 @@ class DocstoreWriter:
             "the duplicates are the same document (dedup_ids fails loudly "
             "on distinct documents colliding on one docid)",
         )
-        name = docstore_part_name(docids)
-        pq_.write_table(batch, os.path.join(self.out_dir, name))
-        terms: list[str] = []
-        dfp: list[int] = []
-        if self.sample_mod >= 1:
-            keep = docids % self.sample_mod == 0
-            texts = [
-                t for t, k in zip(batch["content"].to_pylist(), keep) if k
-            ]
-            df: Counter = Counter()
-            for toks in analyzer.tokenize_batch(texts):
-                df.update(set(toks))
-            terms = list(df.keys())
-            dfp = list(df.values())
-        n = batch.num_rows
-        dl_sum = int(batch["doclen"].to_numpy(zero_copy_only=False).sum())
-        z = [0] * len(terms)
-        return pa.table(
-            {
-                "term": pa.array([""] + terms, pa.string()),
-                "df_part": pa.array([0] + dfp, pa.int64()),
-                "cnt": pa.array([n] + z, pa.int64()),
-                "sum_dl": pa.array([dl_sum] + z, pa.int64()),
-                "max_docid_s": pa.array(
-                    # term rows carry the MINIMUM encoding (docid 0) so
-                    # they never win the max
-                    [encode_max_docid_s(docids.max())]
-                    + [encode_max_docid_s(0)] * len(terms),
-                    pa.int64(),
-                ),
-                "blocks": pa.array([1] + z, pa.int64()),
-            }
+        parts, doclen = [], []
+        for lo in range(0, batch.num_rows, self.slice_docs):
+            d = docids[lo:lo + self.slice_docs]
+            terms, starts, rows, tfs, lens = group_postings(
+                analyzer.tokenize_batch(
+                    batch["content"].slice(lo, self.slice_docs).to_pylist()
+                )
+            )
+            doclen.append(lens)
+            sampled = np.zeros(len(rows), np.int64)
+            if self.sample_mod >= 1:
+                sampled[d[rows] % self.sample_mod == 0] = 1
+            parts.append(_sublists(
+                self.num_tbuckets, terms, starts, d[rows], tfs,
+                lens[rows].astype(np.uint64),
+                np.add.reduceat(sampled, starts) if terms else sampled,
+            ))
+        doclen = np.concatenate(doclen)
+        pq_.write_table(
+            with_doclen(batch, doclen),
+            os.path.join(self.out_dir, docstore_part_name(docids)),
         )
+        stats = {name: [] for name in parts[0].schema.names}
+        stats.update(term="", tbucket=0, slice_id=0, df=len(docids),
+                     cf=int(doclen.sum()), block_last=[int(docids.max())],
+                     salt=0, sample_df=0)
+        return pa.concat_tables(
+            [pa.Table.from_pylist([stats], schema=parts[0].schema)] + parts
+        )
+
+
+def _sublists(num_tbuckets, terms, starts, docids, tfs, dls,
+              sample_df) -> pa.Table:
+    """``DocstoreWriter``'s unsalted sub-lists with their ``sample_df``."""
+    return encode_sublists(
+        terms, starts, docids, tfs, dls, {}, _SUBLIST_AVGDL, _SUBLIST_PARAMS,
+        num_tbuckets,
+    ).append_column("sample_df", pa.array(sample_df, pa.int64()))
+
+
+# (terms, starts, docids, tfs, dls, sample_df) of no postings
+_NO_POSTINGS = ([], np.empty(0, np.int64), *[np.empty(0, np.uint64)] * 3,
+                np.empty(0, np.int64))
+
+
+def _block_partials(block: pa.Table) -> pa.Table:
+    """The stats and sampled-term rows of one ``DocstoreWriter`` output
+    block: run as a Ray task next to the block, so the driver receives
+    these few small rows and never the sub-lists."""
+    keep = pc.or_(pc.equal(block["term"], ""),
+                  pc.greater(block["sample_df"], 0))
+    return block.filter(keep).select(
+        ["term", "df", "cf", "block_last", "sample_df"]
+    )
+
+
+_block_partials_task = ray.remote(_block_partials)
 
 
 def _check_docstore_ranges(
@@ -525,15 +573,16 @@ def build_index(
         return done_stats
     os.makedirs(index_dir, exist_ok=True)
 
-    # ---- stage 1 (fused): featurize → sorted docstore + stats + skew plan
-    # ONE Dataset execution writes the docid-sorted docstore AND emits the
-    # partial rows for (N, sum_dl, max_docid) and the head-term df sample
-    # (DocstoreWriter); the former separate stats + sample executions each
-    # re-read the docstore and cost seconds of fixed dispatch that did not
-    # shrink with CPUs (the round-1 scaling gap). The docstore checkpoint
-    # persists the stats + salt plan so a resumed run recomputes nothing.
+    # ---- execution 1: featurize → sort(docid) → DocstoreWriter per block
+    # ONE Dataset execution writes the docid-sorted docstore and keeps, in
+    # the object store, each block's stats row, head-term sample and
+    # unsalted sub-lists (DocstoreWriter). The driver reduces only the
+    # stats and sample rows (plain tasks, no AllToAll execution); the
+    # docstore checkpoint persists the stats + salt plan so a resumed run
+    # recomputes nothing.
     salt_map: dict[str, int] = {}  # term -> shift
     decisions: dict[str, str] = {}  # output → resume decision
+    sublists = None  # execution 1's output, absent on a docstore resume
     dmark, decisions["docstore"] = man.reuse(
         checkpoints, "docstore", doc_sig, **trust
     )
@@ -547,7 +596,8 @@ def build_index(
         shutil.rmtree(docstore_dir, ignore_errors=True)
         os.makedirs(docstore_dir, exist_ok=True)
         feat = corpus_ds.map_batches(
-            Featurize(docid_strategy=docid_strategy, num_dbuckets=num_dbuckets),
+            FeaturizeRows(docid_strategy=docid_strategy,
+                          num_dbuckets=num_dbuckets),
             batch_format="pyarrow",
         )
         # docid-SORTED plain parquet: files cover docid ranges, so point
@@ -562,15 +612,13 @@ def build_index(
             # (commit, sha256). groupby is sort-based, so the output is
             # docid-sorted like the plain path. Costlier (per-group calls):
             # off by default; enable when the corpus may carry duplicates.
-            import pyarrow.compute as pc_
-
             def first_wins(g: pa.Table) -> pa.Table:
                 # dedup is only correct when the group really is ONE
                 # document ingested twice. Distinct ext_ids sharing a docid
                 # are a hash64 collision between DIFFERENT documents
                 # (~n²/2^64 — a real risk near 10^8-10^9 docs): collapsing
                 # would silently drop a real document from the index.
-                if g.num_rows > 1 and pc_.count_distinct(
+                if g.num_rows > 1 and pc.count_distinct(
                     g["ext_id"]
                 ).as_py() > 1:
                     ids = sorted(set(g["ext_id"].to_pylist()))[:4]
@@ -582,7 +630,7 @@ def build_index(
                         "Use docid_strategy='provided' with unique ids "
                         "(or rename one ext_id)."
                     )
-                order = pc_.sort_indices(
+                order = pc.sort_indices(
                     g,
                     sort_keys=[("commit", "descending"),
                                ("sha256", "descending")],
@@ -594,38 +642,45 @@ def build_index(
             )
         else:
             sorted_feat = feat.sort("docid")
-        partials = full_width(sorted_feat.map_batches(
-            DocstoreWriter(docstore_dir, sample_mod), batch_format="pyarrow"
-        )).materialize()  # executes the write ONCE; keeps only the tiny rows
+        # executes the write ONCE; the sub-lists stay in the object store
+        # for execution 2
+        sublists = full_width(sorted_feat.map_batches(
+            DocstoreWriter(docstore_dir, sample_mod, num_tbuckets,
+                           slice_docs=SLICE_DOCS),
+            batch_format="pyarrow", batch_size=None,
+        )).materialize()
         t_docstore = time.time()
-        agg = partials.aggregate(
-            Sum("cnt"), Sum("sum_dl"), Max("max_docid_s"), Sum("blocks")
-        ) or {}  # zero-block dataset: aggregate returns None, not zeros
-        _check_docstore_ranges(
-            docstore_dir, expected_parts=int(agg.get("sum(blocks)") or 0)
+        parts = ray.get([
+            _block_partials_task.remote(ref) for ref in block_refs(sublists)
+        ])
+        parts = pa.concat_tables(parts) if parts else _block_partials(
+            _sublists(num_tbuckets, *_NO_POSTINGS)
         )
-        n_docs = int(agg.get("sum(cnt)") or 0)
-        sum_dl = int(agg.get("sum(sum_dl)") or 0)
-        max_docid = decode_max_docid_s(agg.get("max(max_docid_s)"))
+        blocks = parts.filter(pc.equal(parts["term"], ""))
+        _check_docstore_ranges(docstore_dir, expected_parts=blocks.num_rows)
+        n_docs = int(pc.sum(blocks["df"]).as_py() or 0)
+        sum_dl = int(pc.sum(blocks["cf"]).as_py() or 0)
+        max_docid = int(
+            pc.max(pc.list_flatten(blocks["block_last"])).as_py() or 0
+        )
         t_stats = time.time()
         space_bits = max(1, max_docid.bit_length())
         if n_docs and sample_mod >= 1:
             # head terms get docid-RANGE salts: salt = docid >> shift, with
             # 2^(space_bits-shift) ≈ df_est*mod/group_budget ranges
-            # (pow2-rounded). The "" stats rows carry df_part=0 and never
+            # (pow2-rounded). The stats rows carry sample_df=0 and never
             # pass the positive threshold.
-            head = (
-                partials.groupby("term")
-                .aggregate(Sum("df_part", alias_name="df_est"))
-                .filter(expr=f"df_est > {group_budget / sample_mod}")
-                .take_all()
-            )
-            for r in head:
-                n_salts = max(
-                    1, math.ceil(r["df_est"] * sample_mod / group_budget)
-                )
-                bits = max(1, (n_salts - 1).bit_length())
-                salt_map[r["term"]] = max(0, space_bits - bits)
+            # a dict, not Table.group_by: Acero's first use costs the
+            # driver ~7 MB of resident memory for a few thousand rows
+            df_est: dict[str, int] = {}
+            for term, df in zip(parts["term"].to_pylist(),
+                                parts["sample_df"].to_pylist()):
+                df_est[term] = df_est.get(term, 0) + df
+            for term, df in sorted(df_est.items()):
+                if df > group_budget / sample_mod:
+                    n_salts = max(1, math.ceil(df * sample_mod / group_budget))
+                    bits = max(1, (n_salts - 1).bit_length())
+                    salt_map[term] = max(0, space_bits - bits)
         t_sample = time.time()
         if not any(f.endswith(".parquet") for f in os.listdir(docstore_dir)):
             # empty corpus: create an empty docstore file so downstream
@@ -650,7 +705,7 @@ def build_index(
         )
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
-    # ---- stage 4: pre-encoded postings → groupby(tbucket, salt) → segments
+    # ---- segments: pre-encoded sub-lists → groupby(tbucket, salt)
     # Grouping at BUCKET granularity (not per term): map_groups costs ~1ms
     # of Python per group, which at code-scale vocabularies (100k+ terms)
     # dominates the whole stage. One group = one term bucket, decoded and
@@ -676,19 +731,34 @@ def build_index(
                 )
         return out
 
-    posts = ray.data.read_parquet(
-        docstore_dir, columns=["docid", "content", "doclen"]
-    )
-    # Emit runs as plain TASKS (the salt map rides in the pickled instance):
-    # an actor pool pays ~1s spawn per actor plus ramp-up idle — measured slower.
-    # Explicit batch_size: emit cost is per-BATCH (one sub-list row per term
-    # per batch), so batches hold N / CPUs docs (one Emit task per CPU, as
-    # many blocks into the groupby), capped at 8192 to bound task memory.
-    posts = posts.map_batches(
-        EmitEncodedPostings(salt_map, avgdl, params, num_tbuckets, block_size),
-        batch_format="pyarrow",
-        batch_size=emit_batch_size(n_docs, ray.cluster_resources().get("CPU", 1)),
-    )
+    if sublists is not None:
+        # ---- execution 2: the sub-lists of execution 1, head terms split
+        # into their salts (only when the plan salts a term), →
+        # groupby(tbucket, salt).map_groups(merge_bucket) → segments
+        posts = sublists
+        if salt_map:
+            posts = posts.map_batches(
+                split_salted, fn_kwargs=dict(shift_map=salt_map,
+                                             num_tbuckets=num_tbuckets),
+                batch_format="pyarrow", batch_size=None,
+            )
+    else:
+        # resumed from the docstore checkpoint: read it back and emit the
+        # sub-lists from a second tokenization. Emit runs as plain TASKS
+        # (the salt map rides in the pickled instance). Explicit
+        # batch_size: emit cost is per-BATCH (one sub-list row per term per
+        # batch), so batches hold N / CPUs docs (one Emit task per CPU, as
+        # many blocks into the groupby), capped at 8192 to bound task memory.
+        posts = ray.data.read_parquet(
+            docstore_dir, columns=["docid", "content", "doclen"]
+        ).map_batches(
+            EmitEncodedPostings(salt_map, avgdl, params, num_tbuckets,
+                                block_size),
+            batch_format="pyarrow",
+            batch_size=emit_batch_size(
+                n_docs, ray.cluster_resources().get("CPU", 1)
+            ),
+        )
     from .io import write_partitioned
 
     n_slices = n_postings = None

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..util import partial_rows
+
 
 class _HashSink:
     """File-like sink that folds writes straight into blake2b — hashing
@@ -67,7 +69,8 @@ def write_partitioned(
     """Write ``ds`` under ``out_dir`` hive-partitioned by ``partition_col``
     (int-valued). Consumes the dataset. Returns {"rows": total_rows,
     "sum_<c>": Σc for each ``sum_cols`` entry} — per-block partials ride the
-    same execution, so callers get output stats without a re-read pass."""
+    same execution and are summed on the driver, so callers get output
+    stats without a re-read pass or a reduce execution."""
     sum_cols = sum_cols or []
 
     def write_block(batch: pa.Table) -> pa.Table:
@@ -92,15 +95,8 @@ def write_partitioned(
         return pa.table(out)
 
     os.makedirs(out_dir, exist_ok=True)
-    from ray.data.aggregate import Sum
-
-    written = ds.map_batches(write_block, batch_format="pyarrow").aggregate(
-        Sum("rows"), *[Sum(f"sum_{c}") for c in sum_cols]
-    ) or {}  # zero-block dataset: aggregate returns None, not zeros
+    parts = partial_rows(ds.map_batches(write_block, batch_format="pyarrow"))
     return {
-        "rows": int(written.get("sum(rows)") or 0),
-        **{
-            f"sum_{c}": int(written.get(f"sum(sum_{c})") or 0)
-            for c in sum_cols
-        },
+        k: sum(int(t[k].to_numpy().sum()) for t in parts)
+        for k in ["rows"] + [f"sum_{c}" for c in sum_cols]
     }

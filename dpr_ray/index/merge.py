@@ -40,8 +40,10 @@ every upsert merge is a FULL rewrite of the merged index — the merged
 avgdl changes every block-max bound, so cost ≈ one warm rebuild of
 N_total regardless of delta size (100k docs: merge 10.7-11.0 s vs 6.0 s
 warm rebuild; 500k 24.5 s vs 16.9 s; 5M 128.8 s vs ~110-150 s; 10k on 4
-CPUs, both passes at full width: 1.9 s vs 1.8 s — the ratio nears 1 as
-tokenization dominates). So do NOT merge per small delta. Accumulate:
+CPUs, median of 5 on perfbench's index_refresh inputs: 1.9 s vs 1.4 s,
+since a fresh build runs two executions and tokenizes each document once
+— the same inputs measured 2.1 s vs 2.3 s with the former four-execution
+build). So do NOT merge per small delta. Accumulate:
 
 - deletes serve IMMEDIATELY via query-time tombstones
   (``QueryExecutor(banned_docids=...)``, overhead below host noise at
@@ -76,11 +78,10 @@ import time
 import numpy as np
 import pyarrow as pa
 import ray.data
-from ray.data.aggregate import Max, Sum
 
 from .._shipping import ensure_shippable
 from ..config import BLOCK_SIZE, BM25Params
-from ..util import full_width
+from ..util import full_width, partial_rows
 from . import manifest as man
 from . import segments as seg
 from .manifest import write_manifest
@@ -196,17 +197,16 @@ def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
     """Terminal docstore writer: one ``part-<lo>-<hi>.parquet`` per
     docid-sorted block (the layout ``build_index`` produces and
     ``doc_join_copartitioned`` / DocJoin range pruning require), with
-    (rows, sum_dl, max_docid, blocks) partials folded into the same pass —
-    no re-read execution for the merged stats, and the written-block count
-    feeds the part-file collision check."""
+    (rows, sum_dl, max_docid, blocks) partials folded into the same pass
+    and reduced on the driver — no re-read or reduce execution for the
+    merged stats, and the written-block count feeds the part-file
+    collision check."""
     import pyarrow.parquet as pq_
 
     from .build import (
         _check_docstore_ranges,
         check_block_duplicates,
-        decode_max_docid_s,
         docstore_part_name,
-        encode_max_docid_s,
     )
 
     # disjoint mode REQUIRES disjoint docids across inputs but nothing
@@ -227,54 +227,39 @@ def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
     )
 
     def write_block(batch: pa.Table) -> pa.Table:
-        # max_docid travels ORDER-PRESERVING-ENCODED as int64
-        # (x - 2^63): Ray's Max aggregate rebuilds values through Python
-        # ints with an inferred int64 arrow type, overflowing at
-        # x = 2^64-1 (the top of the provided-docid space) — uint64
-        # partial columns alone don't survive the reduce
         if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "rows": pa.array([0], pa.int64()),
-                    "sum_dl": pa.array([0], pa.int64()),
-                    "max_docid_s": pa.array(
-                        [encode_max_docid_s(0)], pa.int64()
-                    ),
-                    "blocks": pa.array([0], pa.int64()),
-                }
-            )
+            return _docstore_partial(0, 0, 0, 0)
         docids = batch["docid"].to_numpy(zero_copy_only=False)
         check_block_duplicates(docids, advice)
         name = docstore_part_name(docids)
         pq_.write_table(batch, os.path.join(out_dir, name))
         dl = int(batch["doclen"].to_numpy(zero_copy_only=False).sum())
-        return pa.table(
-            {
-                "rows": pa.array([batch.num_rows], pa.int64()),
-                "sum_dl": pa.array([dl], pa.int64()),
-                "max_docid_s": pa.array(
-                    [encode_max_docid_s(docids.max())], pa.int64()
-                ),
-                "blocks": pa.array([1], pa.int64()),
-            }
-        )
+        return _docstore_partial(batch.num_rows, dl, int(docids.max()), 1)
 
-    agg = ds_sorted.map_batches(write_block, batch_format="pyarrow").aggregate(
-        Sum("rows"), Sum("sum_dl"), Max("max_docid_s"), Sum("blocks")
+    parts = partial_rows(
+        ds_sorted.map_batches(write_block, batch_format="pyarrow")
     )
-    if agg is None:  # zero-block dataset: aggregate returns None, not zeros
-        _check_docstore_ranges(out_dir, expected_parts=0)
-        return {"rows": 0, "sum_dl": 0, "max_docid": 0}
-    _check_docstore_ranges(
-        out_dir, expected_parts=int(agg["sum(blocks)"] or 0)
-    )
-    return {
-        "rows": int(agg["sum(rows)"] or 0),
-        "sum_dl": int(agg["sum(sum_dl)"] or 0),
-        # the all-sentinel case (only zero-row blocks) decodes to docid 0,
-        # matching the zero-block return above
-        "max_docid": decode_max_docid_s(agg["max(max_docid_s)"]),
+    total = {
+        c: [int(x) for t in parts for x in t[c].to_pylist()]
+        for c in ("rows", "sum_dl", "max_docid", "blocks")
     }
+    _check_docstore_ranges(out_dir, expected_parts=sum(total["blocks"]))
+    return {
+        "rows": sum(total["rows"]),
+        "sum_dl": sum(total["sum_dl"]),
+        # zero blocks, or only zero-row ones, give docid 0
+        "max_docid": max(total["max_docid"], default=0),
+    }
+
+
+def _docstore_partial(rows: int, sum_dl: int, max_docid: int,
+                      blocks: int) -> pa.Table:
+    return pa.table({
+        "rows": pa.array([rows], pa.int64()),
+        "sum_dl": pa.array([sum_dl], pa.int64()),
+        "max_docid": pa.array([max_docid], pa.uint64()),
+        "blocks": pa.array([blocks], pa.int64()),
+    })
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str, **kw) -> dict:

@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 
 from .._shipping import ensure_shippable
-from ..util import map_per_block, round_half_away, to_i6
+from ..util import ids_int64, map_per_block, round_half_away, to_i6
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -337,8 +337,8 @@ def _pair_table(ids_a, ids_b, sims, threshold, same: bool) -> pa.Table:
     hi = np.maximum(da, db)
     return pa.table(
         {
-            "id_a": pa.array(lo.astype(np.int64), pa.int64()),
-            "id_b": pa.array(hi.astype(np.int64), pa.int64()),
+            "id_a": pa.array(ids_int64(lo), pa.int64()),
+            "id_b": pa.array(ids_int64(hi), pa.int64()),
             "cos_i6": pa.array(to_i6(s), pa.int64()),
         }
     )
@@ -440,7 +440,7 @@ def embedding_near_dup_pairs(
                 self.planes = rng.standard_normal(
                     (lsh_tables, lsh_bits, mat.shape[1])
                 )
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
+            ids = ids_int64(batch[id_col])
             pow2 = 1 << np.arange(lsh_bits)
             tbls, parts = [], []
             for t in range(lsh_tables):
@@ -451,7 +451,7 @@ def embedding_near_dup_pairs(
                             "bkey": pa.array(
                                 t * (1 << lsh_bits) + bucket, pa.int64()
                             ),
-                            "vid": pa.array(ids.astype(np.int64), pa.int64()),
+                            "vid": pa.array(ids, pa.int64()),
                             "vec": batch[vec_col],
                         }
                     )

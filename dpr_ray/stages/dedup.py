@@ -315,6 +315,7 @@ def ngram_jaccard_pairs_hashed(
             analyzer.tokenize_batch(batch[text_col].to_pylist())
         ):
             hs = shingle_hashes62(toks, k, memo)
+            # uint64 → int64 on purpose: 62-bit hashes keep their value
             out_h.append(hs.astype(np.int64))
             out_d.append(np.full(len(hs), ids[i], np.int64))
             out_n.append(np.full(len(hs), len(hs), np.int64))
@@ -638,6 +639,7 @@ def duplicate_spans(
             _span_hashes(toks, window, memo)
             for toks in analyzer.tokenize_batch(batch[text_col].to_pylist())
         ]
+        # uint64 → int64 on purpose: 31-bit span hashes keep their value
         wh = np.concatenate([np.empty(0, np.uint64), *hs]).astype(np.int64)
         docs = np.repeat(ids, [len(h) for h in hs])
         order = np.lexsort((docs, wh))
@@ -715,6 +717,7 @@ def decontaminate(
             if hs
             else np.empty(0, np.uint64)
         )
+        # uint64 → int64 on purpose: 31-bit span hashes keep their value
         return pa.table({"whash": pa.array(u.astype(np.int64), pa.int64())})
 
     # small side: distinct test-set span hashes → one sorted broadcast
@@ -738,6 +741,7 @@ def decontaminate(
             n_spans, n_hits = [], []
             memo: dict[str, int] = {}
             for toks in analyzer.tokenize_batch(batch[text_col].to_pylist()):
+                # uint64 → int64 on purpose: 31-bit hashes keep their value
                 h = _span_hashes(toks, window, memo).astype(np.int64)
                 n_spans.append(len(h))
                 if len(h) == 0 or len(self.th) == 0:

@@ -37,9 +37,11 @@ def docid_from_ext_id(ext_id: str) -> int:
     return int.from_bytes(hashlib.sha256(ext_id.encode()).digest()[:8], "big") >> 1
 
 
-class Featurize:
-    """map_batches callable (stateless — plain tasks are fine, but a class
-    keeps the analyzer warm per worker)."""
+class FeaturizeRows:
+    """map_batches callable: the row work of :class:`Featurize`, every
+    docstore column except ``doclen``. ``build_index`` counts tokens where
+    it tokenizes each document anyway (``DocstoreWriter``) and inserts
+    ``doclen`` there with :func:`with_doclen`."""
 
     def __init__(self, docid_strategy: str = "hash64", num_dbuckets: int = 16):
         self.docid_strategy = docid_strategy
@@ -65,9 +67,8 @@ class Featurize:
             )
         ext_id = pc.binary_join_element_wise(batch["repo"], batch["path"], "/")
         content = batch["content"]
-        texts = content.to_pylist()
-        sha = [hashlib.sha256(t.encode()).hexdigest() for t in texts]
-        doclen = analyzer.doc_lengths(texts)
+        sha = [hashlib.sha256(t.encode()).hexdigest()
+               for t in content.to_pylist()]
         if "docid" in batch.column_names and self.docid_strategy == "provided":
             docid = pc.cast(batch["docid"], pa.uint64())
         else:
@@ -91,9 +92,28 @@ class Featurize:
                 "commit": batch["commit"],
                 "lang": batch["lang"],
                 "title": ext_id,
-                "doclen": pa.array(doclen, pa.int64()),
                 "sha256": pa.array(sha, pa.string()),
                 "content": pc.cast(content, pa.large_string()),
                 "dbucket": dbucket,
             }
+        )
+
+
+def with_doclen(rows: pa.Table, doclen) -> pa.Table:
+    """``rows`` (``FeaturizeRows`` output) with the ``doclen`` column in
+    its docstore position, just before ``sha256``."""
+    return rows.add_column(
+        rows.schema.get_field_index("sha256"), "doclen",
+        pa.array(doclen, pa.int64()),
+    )
+
+
+class Featurize(FeaturizeRows):
+    """map_batches callable: corpus rows → docstore rows, ``doclen``
+    counted by ``analyzer.doc_lengths``."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return with_doclen(
+            super().__call__(batch),
+            analyzer.doc_lengths(batch["content"].to_pylist()),
         )

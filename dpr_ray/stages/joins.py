@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from .._shipping import ensure_shippable
+from ..util import ids_int64
 
 
 def _as_us(col) -> pa.Array:
@@ -42,7 +43,7 @@ def _lift(ds, key_col, ts_col, id_col, side: int):
             {
                 "key": batch[key_col].cast(pa.int64()),
                 "ts_us": _as_us(batch[ts_col]),
-                "eid": batch[id_col].cast(pa.int64()),
+                "eid": pa.array(ids_int64(batch[id_col]), pa.int64()),
                 "side": pa.array(np.full(n, side, np.int32), pa.int32()),
             }
         )
@@ -201,7 +202,7 @@ def interval_join(
         return pa.table(
             {
                 "key": pa.array(np.full(len(out_ts), key, np.int64), pa.int64()),
-                "left_id": pa.array(out_id.astype(np.int64), pa.int64()),
+                "left_id": pa.array(out_id, pa.int64()),  # _lift's int64
                 "ts_us": pa.array(out_ts.astype(np.int64), pa.int64()),
                 "start_us": pa.array(out_s.astype(np.int64), pa.int64()),
                 "end_us": pa.array(out_e.astype(np.int64), pa.int64()),

@@ -29,6 +29,7 @@ import pyarrow as pa
 import ray
 
 from .._shipping import ensure_shippable
+from ..util import ids_int64
 
 
 def prefix_sum(
@@ -50,7 +51,7 @@ def prefix_sum(
         bucket_width = max(1, (int(max_key) + 1) // 8192) if max_key is not None else 1
 
     def lift(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        k = ids_int64(batch[key_col])
         v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {

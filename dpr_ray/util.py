@@ -124,6 +124,27 @@ def map_sorted_groups(ds, key, fn):
     )
 
 
+def block_refs(mat) -> list:
+    """Object refs of a materialized Dataset's blocks that hold rows (a
+    shuffle's empty partitions come out schema-less); no execution."""
+    return [
+        ref for bundle in mat.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks if meta.num_rows
+    ]
+
+
+def partial_rows(ds) -> list[pa.Table]:
+    """Execute ``ds`` once (``materialize``) and fetch its non-empty
+    blocks to the driver, for a stage that returns a few partial rows per
+    block (a writer's counts and sums), which the caller reduces on the
+    driver. An ``aggregate`` of the same sums is a second, AllToAll
+    execution: 35 ms against 7 ms for fetching 4 one-row blocks (median
+    of 7, 4 CPUs). A zero-block ``ds`` gives ``[]``."""
+    import ray
+
+    return ray.get(block_refs(ds.materialize()))
+
+
 def full_width(ds):
     """``ds`` with per-operator resource reservation off. Ray 2.49 keeps a
     CPU share for operators behind a shuffle barrier, so the map stage

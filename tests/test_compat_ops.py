@@ -936,3 +936,32 @@ def test_stateful_stage_starts_no_actor(ray_session, tmp_path, stage):
     for ds in out if isinstance(out, tuple) else (out,):
         assert ds.take_all(), stage
     assert set(state.actors()) == before, stage
+
+
+# a stage's ValueError reaches the caller wrapped by Ray Data
+# (UserCodeException), its message kept
+@pytest.mark.parametrize("method", ["exact", "lsh"])
+def test_near_dup_pairs_uint64_ids_exact_or_refused(ray_session, method):
+    """uint64 vector ids up to 2^63-1 come out exact in the pair ids;
+    2^63 and above are refused instead of wrapping to negative ids."""
+    import ray.data
+
+    from dpr_ray.stages.ann import embedding_near_dup_pairs
+
+    def pairs(ids):
+        tbl = pa.table({
+            "vec_id": pa.array(ids, pa.uint64()),
+            "embedding": pa.array([[1.0, 2.0, 3.0]] * 2,
+                                  pa.list_(pa.float64())),
+        })
+        return embedding_near_dup_pairs(
+            ray.data.from_arrow(tbl), threshold=0.9, method=method,
+            lsh_tables=2, lsh_bits=4,
+        ).to_pandas()
+
+    top = 2**63 - 1
+    out = pairs([top, top - 1])
+    assert list(zip(out["id_a"], out["id_b"])) == [(top - 1, top)]
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(Exception, match="outside int64"):
+            pairs([big, 3])

@@ -104,20 +104,17 @@ def test_salting_does_not_change_logical_index(ray_session, tmp_path, monkeypatc
     """The skew plan changes slice layout (slices = docid-range salts) but
     NOT the logical index: decoded postings and query results are identical
     between an aggressively-salted and an unsalted build; and a rebuild with
-    the same plan is byte-identical (determinism under resume). The 8300-doc
-    input's rebuild also batches Emit the old way: fixed 8192-doc batches
-    split it 8192 + 108, where N / CPUs batching splits it four ways."""
-    from dpr_ray.index import build as build_mod
-
-    for n_docs, group_budget, rebuild_rule in (
-        (60, 10, build_mod.emit_batch_size),
-        (8300, 1000, lambda n, cpus: 8192),
-    ):
+    the same plan is byte-identical (determinism under resume). The rebuild
+    runs on another block count AND tokenizes its blocks in small slices
+    (7 and 1,000 docs instead of 8,192), so each block emits several
+    sub-lists per term and the head terms' split runs over them."""
+    for n_docs, group_budget, rebuild_slice in ((60, 10, 7),
+                                                (8300, 1000, 1000)):
         _check_salting_identity(tmp_path / str(n_docs), n_docs, group_budget,
-                                rebuild_rule, monkeypatch)
+                                rebuild_slice, monkeypatch)
 
 
-def _check_salting_identity(root, n_docs, group_budget, rebuild_rule,
+def _check_salting_identity(root, n_docs, group_budget, rebuild_slice,
                             monkeypatch):
     import pyarrow as pa
     import ray.data
@@ -133,13 +130,13 @@ def _check_salting_identity(root, n_docs, group_budget, rebuild_rule,
                 docid_strategy="hash64", group_budget=group_budget,
                 sample_mod=1, block_size=8)
     with monkeypatch.context() as m:
-        m.setattr(build_mod, "emit_batch_size", rebuild_rule)
+        m.setattr(build_mod, "SLICE_DOCS", rebuild_slice)
         build_index(ray.data.from_arrow(tbl).repartition(2), a2,
                     docid_strategy="hash64", group_budget=group_budget,
                     sample_mod=1, block_size=8)
     build_index(ray.data.from_arrow(tbl).repartition(2), b,
                 docid_strategy="hash64", group_budget=10**9, sample_mod=1, block_size=8)
-    # same plan, different parallelism (and Emit batching) → byte-identical
+    # same plan, different parallelism (and slicing) → byte-identical
     ra = sorted(_load_segment_rows(a), key=lambda r: (r["term"], r["slice_id"]))
     ra2 = sorted(_load_segment_rows(a2), key=lambda r: (r["term"], r["slice_id"]))
     assert ra == ra2
@@ -193,8 +190,9 @@ def test_build_leaves_data_context_unchanged(ray_session, tmp_path):
 @pytest.mark.parametrize("n_docs", [0, 1, 3, 8192 * 4 + 5, 10_000])
 @pytest.mark.parametrize("cpus", [1, 4, 32])
 def test_emit_batch_size_rule(n_docs, cpus):
-    """Emit batches hold at most 8192 docs, and N docs split into at least
-    min(CPUs, N) batches, so every CPU gets an Emit task when N allows."""
+    """Emit batches (a build resumed from its docstore checkpoint) hold at
+    most 8192 docs, and N docs split into at least min(CPUs, N) batches,
+    so every CPU gets an Emit task when N allows."""
     from dpr_ray.index.build import emit_batch_size
 
     bs = emit_batch_size(n_docs, cpus)
@@ -514,3 +512,189 @@ def test_salted_group_past_64_slices_raises(ray_session, tmp_path):
                     group_budget=200, sample_mod=1, max_postings_per_slice=1)
     assert "group_budget" in str(ei.value)
     assert "ValueError" in str(ei.value) or isinstance(ei.value, ValueError)
+
+
+def _count_executions(monkeypatch) -> list:
+    """Count Ray Data executions started on the driver from here on."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return calls
+
+
+def test_fresh_build_runs_two_executions(ray_session, tmp_path, monkeypatch):
+    """A fresh build is two Ray Data executions — the docstore pass that
+    also emits the sub-lists, then the segments shuffle and write — with
+    the salt split in the second one; the stats, sample and writer counts
+    are reduced on the driver, never by an aggregate execution."""
+    import ray.data
+
+    tbl = corpus_mod.synth_corpus_table(200, seed=8)
+    ds = ray.data.from_arrow(tbl).repartition(4).materialize()
+    calls = _count_executions(monkeypatch)
+    stats = build_index(ds, str(tmp_path / "idx"), docid_strategy="hash64",
+                        group_budget=20, sample_mod=1)
+    assert stats["head_terms_salted"] > 0
+    assert len(calls) == 2
+
+
+def _dup_corpus(n):
+    """A corpus with every fifth document ingested again at a later
+    commit (the case dedup_ids collapses)."""
+    import pyarrow.compute as pc
+
+    tbl = corpus_mod.synth_corpus_table(n, seed=12)
+    again = tbl.take(list(range(0, n, 5)))
+    again = again.set_column(
+        again.schema.get_field_index("commit"), "commit",
+        pc.binary_join_element_wise(again["commit"], "b", ""),
+    )
+    return pa.concat_tables([tbl, again])
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(group_budget=15, sample_mod=1, block_size=8),
+        dict(dedup_ids=True, group_budget=40, sample_mod=2),
+    ],
+    ids=["unsalted", "salted", "dedup_ids"],
+)
+def test_fresh_build_equals_docstore_resume(ray_session, tmp_path, kw):
+    """The fresh path (sub-lists emitted by the docstore pass, head terms
+    split after it) and the read-back path (a build resumed from its
+    docstore checkpoint with the segments wiped: EmitEncodedPostings
+    tokenizes the docstore again and salts while it emits) write the same
+    segment rows, byte for byte, and the same stats.json bytes. Segment
+    FILE names follow Ray's sort boundaries, which vary between runs on
+    either path, so rows are compared."""
+    import shutil
+
+    import ray.data
+
+    tbl = _dup_corpus(150) if kw.get("dedup_ids") else (
+        corpus_mod.synth_corpus_table(150, seed=12))
+    d = str(tmp_path / "idx")
+    ds = lambda: ray.data.from_arrow(tbl).repartition(3)  # noqa: E731
+    build_index(ds(), d, docid_strategy="hash64", **kw)
+    fresh_rows = _sorted_rows(d)
+    with open(os.path.join(d, "stats.json"), "rb") as f:
+        fresh_stats = f.read()
+    if kw.get("sample_mod") == 1:
+        assert seg.read_stats(d)["head_terms_salted"] > 0
+    os.remove(os.path.join(d, "manifest.json"))
+    os.remove(os.path.join(d, "stats.json"))
+    shutil.rmtree(os.path.join(d, "segments"))
+    build_index(ds(), d, docid_strategy="hash64", resume=True, **kw)
+    assert man.read_manifest(d)["resume"]["docstore"] == "resumed"
+    assert _sorted_rows(d) == fresh_rows
+    with open(os.path.join(d, "stats.json"), "rb") as f:
+        assert f.read() == fresh_stats
+
+
+def _sorted_rows(index_dir):
+    return sorted(_load_segment_rows(index_dir),
+                  key=lambda r: (r["term"], r["slice_id"]))
+
+
+def _emitted_postings(tbl: pa.Table) -> list:
+    """(term, salt, docid, tf, dl) of every posting in sub-list rows."""
+    docids, tfs, dls, rows, _ = seg.decode_blocks(tbl)
+    terms = tbl["term"].to_pylist()
+    salts = tbl["salt"].to_pylist()
+    return sorted(
+        (terms[r], salts[r], int(d), int(t), int(l))
+        for r, d, t, l in zip(rows, docids, tfs, dls)
+    )
+
+
+def test_vectorized_emit_matches_counter_reference(tmp_path, monkeypatch):
+    """Both emitters — EmitEncodedPostings (read-back path) and
+    DocstoreWriter + split_salted (fresh path, here tokenizing in 3-doc
+    slices) — decode to the (term, salt, docid, tf, dl) multiset of a
+    per-document Counter, on a batch with empty documents, a document of
+    one repeated token and head terms salted over several docid ranges
+    (docids up to 2^64 - 1). The fresh path also gets doclen, the part
+    file and the head-term sample right without analyzer.doc_lengths."""
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from dpr_ray import analyzer
+    from dpr_ray.index.build import (
+        DocstoreWriter,
+        EmitEncodedPostings,
+        split_salted,
+    )
+    from dpr_ray.stages.featurize import FeaturizeRows
+
+    rng = np.random.default_rng(5)
+    n = 40
+    docids = np.sort(rng.choice(1 << 62, n, replace=False).astype(np.uint64)
+                     * np.uint64(4) + np.uint64(3))
+    docids[-1] = np.uint64((1 << 64) - 1)
+    vocab = ["head", "Head", "tail", "x", "café", "ß", "a.b", "z"]
+    contents = []
+    for i in range(n):
+        if i % 9 == 4:
+            contents.append("")
+        elif i == 7:
+            contents.append("x x x x x x")
+        else:
+            toks = rng.choice(vocab, int(rng.integers(1, 12)))
+            contents.append(" ".join(toks))
+    tbl = pa.table({
+        "repo": ["r"] * n, "path": [f"p{i}" for i in range(n)],
+        "commit": ["c"] * n, "lang": ["py"] * n,
+        "content": contents, "docid": pa.array(docids, pa.uint64()),
+    })
+    shift_map = {"head": 60, "x": 62}
+    expect, sampled = [], Counter()
+    for d, text in zip(docids, contents):
+        toks = analyzer.tokenize(text)
+        for t, c in Counter(toks).items():
+            salt = int(d) >> shift_map[t] if t in shift_map else 0
+            expect.append((t, salt, int(d), c, len(toks)))
+        if int(d) % 3 == 0:
+            sampled.update(set(toks))
+    expect.sort()
+    assert len({s for t, s, *_ in expect if t == "head"}) > 2
+
+    params = BM25Params()
+    rows = FeaturizeRows(docid_strategy="provided")(tbl)
+    doclen = [len(analyzer.tokenize(c)) for c in contents]
+    emit = EmitEncodedPostings(shift_map, 5.0, params, 4, 8)
+    emitted = emit(rows.select(["docid", "content"]).append_column(
+        "doclen", pa.array(doclen, pa.int64())))
+    assert _emitted_postings(emitted) == expect
+
+    def no_doc_lengths(texts):
+        raise AssertionError("the fresh path counts tokens it already has")
+
+    monkeypatch.setattr(analyzer, "doc_lengths", no_doc_lengths)
+    out = DocstoreWriter(str(tmp_path), 3, 4, slice_docs=3)(rows)
+    stats = out.filter(pa.compute.equal(out["term"], ""))
+    assert stats["df"].to_pylist() == [n]
+    assert stats["cf"].to_pylist() == [sum(doclen)]
+    assert stats["block_last"].to_pylist() == [[(1 << 64) - 1]]
+    got_sample = Counter()
+    for t, s in zip(out["term"].to_pylist(), out["sample_df"].to_pylist()):
+        if s:
+            got_sample[t] += s
+    assert got_sample == sampled
+    assert set(out["salt"].to_pylist()) == {0}
+    assert _emitted_postings(split_salted(out, shift_map, 4)) == expect
+    (part,) = os.listdir(tmp_path)
+    written = pq.read_table(os.path.join(tmp_path, part))
+    assert written["doclen"].to_pylist() == doclen
+    assert written.drop_columns(["doclen"]).equals(rows)

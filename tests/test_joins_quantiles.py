@@ -174,3 +174,38 @@ def test_approx_quantiles_accuracy(ray_session):
         lo = sv[max(0, int(np.floor((p - eps) * (n - 1))))]
         hi = sv[min(n - 1, int(np.ceil((p + eps) * (n - 1))))]
         assert lo <= v <= hi, (p, v, lo, hi)
+
+
+# a stage's ValueError reaches the caller wrapped by Ray Data
+# (UserCodeException), its message kept
+@pytest.mark.parametrize("join", ["asof", "interval"])
+def test_join_uint64_event_ids_exact_or_refused(ray_session, join):
+    """uint64 event ids up to 2^63-1 come out exact as left_id; 2^63 and
+    above are refused with a message naming the id column's range."""
+    from dpr_ray.stages.joins import interval_join
+
+    def run(ids):
+        ev = ray.data.from_arrow(pa.table({
+            "event_id": pa.array(ids, pa.uint64()),
+            "user_id": pa.array([1] * len(ids), pa.int64()),
+            "ts": pa.array([5, 7][: len(ids)], pa.int64()),
+        }))
+        if join == "asof":
+            right = ray.data.from_arrow(pa.table({
+                "event_id": pa.array([9], pa.uint64()),
+                "user_id": pa.array([1], pa.int64()),
+                "ts": pa.array([1], pa.int64()),
+            }))
+            return asof_join(ev, right).to_pandas()
+        iv = ray.data.from_arrow(pa.table({
+            "user_id": pa.array([1], pa.int64()),
+            "session_start": pa.array([0], pa.int64()),
+            "session_end": pa.array([10], pa.int64()),
+        }))
+        return interval_join(ev, iv).to_pandas()
+
+    top = 2**63 - 1
+    assert sorted(run([top, top - 1])["left_id"]) == [top - 1, top]
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(Exception, match="outside int64"):
+            run([big, 3])

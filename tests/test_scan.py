@@ -92,3 +92,26 @@ def test_pack_fragments_tiling(ray_session):
     assert per_bin.index.max() == (total - 1) // budget
     # (c) zero docs absent
     assert set(out["key"]) == {int(k) for k, v in vmap.items() if v > 0}
+
+
+# a stage's ValueError reaches the caller wrapped by Ray Data
+# (UserCodeException), its message kept
+def test_prefix_sum_uint64_keys_exact_or_refused(ray_session):
+    """uint64 keys up to 2^63-1 come out exact, with their offsets; 2^63
+    and above are refused instead of wrapping to negative keys."""
+
+    def run(keys, **kw):
+        ds = ray.data.from_arrow(pa.table({
+            "k": pa.array(keys, pa.uint64()),
+            "v": pa.array([10, 20], pa.int64()),
+        }))
+        return prefix_sum(ds, "k", "v", **kw).to_pandas().sort_values("key")
+
+    top = 2**63 - 1
+    for kw in ({}, {"bucket_width": 1 << 40}):
+        out = run([top, 5], **kw)
+        assert list(out["key"]) == [5, top]
+        assert list(out["offset"]) == [0, 20]
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(Exception, match="outside int64"):
+            run([big, 5], bucket_width=1 << 40)
