@@ -69,7 +69,7 @@ _STOPLIST = ("the", "a", "an", "of", "to", "in", "and", "is", "it", "on", "for")
 
 
 from ._shipping import ensure_shippable
-from .util import map_per_block, read_parquet_clean
+from .util import ids_int64, map_per_block, read_parquet_clean
 from .util import to_i6 as _i6  # SQL ROUND (half-away) semantics
 
 # Register every dpr_ray module for by-value pickling as soon as the driver
@@ -213,7 +213,7 @@ def q_postings(sf_dir: str):
         return pa.table(
             {
                 "term": batch["term"].take(pa.array(rows, pa.int64())),
-                "docid": pa.array(docids.astype(np.int64), pa.int64()),
+                "docid": pa.array(ids_int64(docids), pa.int64()),
                 "tf": pa.array(tfs.astype(np.int64), pa.int64()),
             }
         )

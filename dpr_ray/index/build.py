@@ -205,7 +205,7 @@ def emit_batch_size(n_docs: int, cpus: int) -> int:
 def docstore_part_name(docids: np.ndarray) -> str:
     """part-<lo>-<hi>.parquet, zero-padded so lexical sort == numeric
     sort. ONE definition shared by build's DocstoreWriter and merge's
-    _write_docstore_ranged — _check_docstore_ranges' filename slicing
+    _merge_cells — _check_docstore_ranges' filename slicing
     (f[5:25]/f[26:46]) depends on this exact format."""
     return f"part-{int(docids[0]):020d}-{int(docids[-1]):020d}.parquet"
 

@@ -63,6 +63,13 @@ def _content_name(tbl: pa.Table) -> str:
     return f"part-{sink.h.hexdigest()}.parquet"
 
 
+def write_content_named(tbl: pa.Table, out_dir: str) -> None:
+    """Write ``tbl`` as one parquet file under ``out_dir``, named by the
+    hash of its rows: a task retry overwrites, never duplicates."""
+    os.makedirs(out_dir, exist_ok=True)
+    pq.write_table(tbl, os.path.join(out_dir, _content_name(tbl)))
+
+
 def write_partitioned(
     ds, out_dir: str, partition_col: str, sum_cols: list[str] | None = None
 ) -> dict:
@@ -87,11 +94,10 @@ def write_partitioned(
         col_idx = batch.schema.get_field_index(partition_col)
         body = batch.remove_column(col_idx)
         for v in np.unique(vals):
-            sub = body.filter(pa.array(vals == v))
-            d = os.path.join(out_dir, f"{partition_col}={int(v)}")
-            os.makedirs(d, exist_ok=True)
-            # content-hash name: task retries overwrite, never duplicate
-            pq.write_table(sub, os.path.join(d, _content_name(sub)))
+            write_content_named(
+                body.filter(pa.array(vals == v)),
+                os.path.join(out_dir, f"{partition_col}={int(v)}"),
+            )
         return pa.table(out)
 
     os.makedirs(out_dir, exist_ok=True)

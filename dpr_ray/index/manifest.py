@@ -193,7 +193,11 @@ def resume_index(
 def write_manifest(
     index_dir: str, *, stats: dict, timings: dict, salt_map: dict,
     resume_sig: str, resume: dict, corpus_fp: str | None = None,
+    merge_plan: dict | None = None,
 ) -> dict:
+    """Write ``manifest.json``; a merge passes ``merge_plan``, the counts
+    of its work units (docstore cells, input parts they read, segment
+    tasks), which shows the read amplification of its cell plan."""
     manifest = {
         "complete": True,
         "corpus_fp": corpus_fp,
@@ -207,6 +211,8 @@ def write_manifest(
             "segments": _partition_table(os.path.join(index_dir, "segments")),
         },
     }
+    if merge_plan is not None:
+        manifest["merge_plan"] = merge_plan
     write_json_atomic(
         os.path.join(index_dir, "manifest.json"), manifest,
         indent=1, sort_keys=True,

@@ -1,82 +1,67 @@
 """Segment merge (SURVEY §7 M3): k indexes → one canonical index.
 
 ``merge_indexes([A, B, ...], out)`` re-merges posting lists across source
-indexes with a groupby(term) over the ENCODED sub-lists (compact — the
-shuffle moves compressed postings, not raw tokens), decodes, re-sorts by
-docid and re-blocks with the MERGED corpus stats (block-max bounds depend
-on the merged avgdl). The remerge encodes each term with contiguous
-slice_ids, so for UNSALTED builds ``merge(build(A), build(B)) ==
-build(A ∪ B)`` byte-for-byte (property-tested). When head terms were
-salted, build emits per-salt slice_id offsets (salt*64) while the remerge
-re-derives contiguous ids — the equality then holds LOGICALLY (same
-decoded posting sets, same scores; ``test_merge_of_salted_indexes``), not
-byte-for-byte.
+indexes and re-blocks them with the MERGED corpus stats (block-max bounds
+depend on the merged avgdl), with contiguous slice_ids: for UNSALTED
+builds ``merge(build(A), build(B)) == build(A ∪ B)`` byte-for-byte; for
+salted ones (build's slice_ids are salt*64 + i) the decoded postings and
+scores are equal (``test_merge_of_salted_indexes``).
 
-Two modes:
+- ``mode="disjoint"`` (default): docids must be disjoint across inputs;
+  stats are input-stat sums.
+- ``mode="upsert"``: the incremental refresh. ``index_dirs`` is ordered
+  oldest → newest; a docid present in several inputs keeps ONLY its
+  newest version (for EVERY term), and tombstones drop documents
+  entirely. ``upsert_merge(base, build(delta)) == build(latest_corpus)``
+  byte-for-byte for unsalted builds (property-tested).
 
-- ``mode="disjoint"`` (default): docids must be disjoint across inputs
-  (they are, for disjoint corpora with deterministic ids). Postings and
-  docstores concatenate; stats are input-stat sums.
-- ``mode="upsert"``: the incremental-refresh cycle. ``index_dirs`` is
-  ordered oldest → newest; a docid present in several inputs keeps ONLY
-  its newest version (postings of the older content drop for EVERY term),
-  and ``delete_ext_ids`` tombstones documents out of the result entirely.
-  ``upsert_merge(base, build(delta)) == build(latest_corpus)``
-  byte-for-byte for unsalted builds (property-tested) — adds, updates and
-  deletes in one pass, replacing a full rebuild of the base.
+No shuffle: both passes follow the partitioning the inputs already have
+on disk. Each pass is ``from_items(work units)`` → ``map_batches`` (one
+task per block of units, via ``util.full_width``) → partial rows reduced
+on the driver.
 
-Scale shape (upsert): the arbitration map covers only docids of the
-NON-BASE inputs plus tombstones — delta-sized by definition of an
-incremental refresh, NOT corpus-sized. It is built on the driver from the
-deltas' narrow docid columns (8 B/doc; capped by $DPR_UPSERT_DRIVER_CAP,
-default 50M ≈ 400 MB) and broadcast once via ``ray.put`` (sorted uint64 +
-winner-rank arrays, zero-copy plasma reads in every task). The docstore
-filter is map-only; the segments pass is the same single groupby(term)
-as disjoint mode. The 100-TB shape is therefore: base index any size,
-delta bounded by the cap per merge — chain merges for bigger backlogs.
+- Docstore: the units are half-open docid cells, planned on the driver
+  from part-file NAMES (``plan_cells``). A task reads the input parts
+  overlapping its cell, keeps its surviving rows, sorts them and writes
+  one ``part-<lo>-<hi>`` file. Cells partition the docid space, so a
+  duplicate docid always meets its twin inside one task.
+- Segments: the units are the target term buckets. A task reads every
+  input's ``segments/tbucket=b`` files (all files of an input built with
+  another ``num_tbuckets``, kept where ``crc32(term) % n == b``, read once
+  per task), decodes, drops superseded postings, re-encodes with the
+  merged avgdl and writes one content-named file per bucket.
 
-Tiered refresh policy (operational guidance; measured in BASELINE.md):
-every upsert merge is a FULL rewrite of the merged index — the merged
-avgdl changes every block-max bound, so cost ≈ one warm rebuild of
-N_total regardless of delta size (100k docs: merge 10.7-11.0 s vs 6.0 s
-warm rebuild; 500k 24.5 s vs 16.9 s; 5M 128.8 s vs ~110-150 s; 10k on 4
-CPUs, median of 5 on perfbench's index_refresh inputs: 1.9 s vs 1.4 s,
-since a fresh build runs two executions and tokenizes each document once
-— the same inputs measured 2.1 s vs 2.3 s with the former four-execution
-build). So do NOT merge per small delta. Accumulate:
+Scale (upsert): the arbitration map holds only the NON-BASE inputs'
+docids plus tombstones (8 B/doc, capped by $DPR_UPSERT_DRIVER_CAP,
+default 50M), built on the driver and shared through one ``ray.put``. A
+task holds one cell or one term bucket, so the base may be any size.
 
-- deletes serve IMMEDIATELY via query-time tombstones
-  (``QueryExecutor(banned_docids=...)``, overhead below host noise at
-  10% banned) — no merge needed;
-- adds/updates batch into a delta corpus; trigger the merge when the
-  backlog reaches ~5-10% of N (amortizes the fixed rewrite over a
-  meaningful refresh) or when the tombstone fraction approaches ~10%
-  (collection stats stay index-time until the merge, as in Lucene);
-- chain merges for multi-delta backlogs (v1+d1→v2, v2+d2→v3 —
-  byte-identical to replaying the log, property-tested in
-  tests/test_merge_upsert.py and measured as a 2-tier cycle in
-  BASELINE.md); the arbitration map stays delta-sized per run, so a
-  backlog larger than DPR_UPSERT_DRIVER_CAP splits into chained runs.
+Refresh policy: every upsert merge is a FULL rewrite — the merged avgdl
+changes every block-max bound, so it reads and writes all N_total docs
+and postings whatever the delta size (figures in BASELINE.md and ROADMAP
+direction 4). Deletes serve at once through query-time tombstones
+(``QueryExecutor(banned_docids=...)``); batch adds/updates into a delta
+and merge when it reaches ~5-10% of N or the tombstones ~10%; chain
+merges (v1+d1→v2, v2+d2→v3, byte-identical to replaying the log) for
+backlogs beyond DPR_UPSERT_DRIVER_CAP. k merges cost k rewrites. It
+needs no corpus text: the segments pass moves varint postings.
 
-Fewer, larger deltas strictly dominate: k merges cost k full rewrites.
-The merge's value is never beating a warm rebuild on one node — it is
-refreshing WITHOUT the raw corpus text (the base may be unmounted
-petabytes; the shuffle moves compressed varint postings, not tokens).
-
-Replaces the reference's index serialize/ingest cycle
-(``faiss_indexers.py:41-105``), which cannot merge two HNSW indexes at all
-(``faiss_indexers.py:148-151`` one-shot constraint) and has no
-delete/update story short of rebuilding.
+Replaces the reference's serialize/ingest cycle (``faiss_indexers.py:41-105``),
+which cannot merge two HNSW indexes (``:148-151``) nor delete or update.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import re
 import shutil
 import time
+import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from .._shipping import ensure_shippable
@@ -84,7 +69,12 @@ from ..config import BLOCK_SIZE, BM25Params
 from ..util import full_width, partial_rows
 from . import manifest as man
 from . import segments as seg
+from .build import (
+    _check_docstore_ranges, check_block_duplicates, docstore_part_name,
+)
+from .io import write_content_named
 from .manifest import write_manifest
+from .segments import decode_blocks, encode_bucket
 
 UPSERT_DRIVER_CAP = int(os.environ.get("DPR_UPSERT_DRIVER_CAP", 50_000_000))
 
@@ -193,73 +183,158 @@ def _merge_sig(
     )
 
 
-def _write_docstore_ranged(ds_sorted, out_dir: str, mode: str) -> dict:
-    """Terminal docstore writer: one ``part-<lo>-<hi>.parquet`` per
-    docid-sorted block (the layout ``build_index`` produces and
-    ``doc_join_copartitioned`` / DocJoin range pruning require), with
-    (rows, sum_dl, max_docid, blocks) partials folded into the same pass
-    and reduced on the driver — no re-read or reduce execution for the
-    merged stats, and the written-block count feeds the part-file
-    collision check."""
-    import pyarrow.parquet as pq_
-
-    from .build import (
-        _check_docstore_ranges,
-        check_block_duplicates,
-        docstore_part_name,
-    )
-
-    # disjoint mode REQUIRES disjoint docids across inputs but nothing
-    # upstream enforces it (upsert arbitrates cross-input collisions away
-    # before this point, so a duplicate there means an input index itself
-    # carries duplicate docids): a violated precondition would silently
-    # double-count postings. Blocks are docid-sorted, so collisions are
-    # adjacent here or straddle block boundaries (caught by
-    # _check_docstore_ranges after the write).
-    advice = (
-        "in the merged docstore: mode='disjoint' requires disjoint docids "
-        "across inputs — use mode='upsert' to arbitrate collisions "
-        "newest-wins"
-        if mode == "disjoint"
-        else "in the merged docstore under mode='upsert': an input index "
-        "itself contains duplicate docids (built before duplicate "
-        "validation) — rebuild that input from a deduplicated corpus"
-    )
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _docstore_partial(0, 0, 0, 0)
-        docids = batch["docid"].to_numpy(zero_copy_only=False)
-        check_block_duplicates(docids, advice)
-        name = docstore_part_name(docids)
-        pq_.write_table(batch, os.path.join(out_dir, name))
-        dl = int(batch["doclen"].to_numpy(zero_copy_only=False).sum())
-        return _docstore_partial(batch.num_rows, dl, int(docids.max()), 1)
-
-    parts = partial_rows(
-        ds_sorted.map_batches(write_block, batch_format="pyarrow")
-    )
-    total = {
-        c: [int(x) for t in parts for x in t[c].to_pylist()]
-        for c in ("rows", "sum_dl", "max_docid", "blocks")
-    }
-    _check_docstore_ranges(out_dir, expected_parts=sum(total["blocks"]))
-    return {
-        "rows": sum(total["rows"]),
-        "sum_dl": sum(total["sum_dl"]),
-        # zero blocks, or only zero-row ones, give docid 0
-        "max_docid": max(total["max_docid"], default=0),
-    }
+_PART = re.compile(r"part-(\d{20})-(\d{20})\.parquet")
+# what the remerge reads of a segment file: the blobs and their term
+_SEG_COLS = ["term", "block_docids", "block_tfs", "block_dls"]
+_CELL_PARTIAL = pa.schema([("rows", pa.int64()), ("sum_dl", pa.int64()),
+                           ("max_docid", pa.uint64()), ("blocks", pa.int64())])
 
 
-def _docstore_partial(rows: int, sum_dl: int, max_docid: int,
-                      blocks: int) -> pa.Table:
-    return pa.table({
-        "rows": pa.array([rows], pa.int64()),
-        "sum_dl": pa.array([sum_dl], pa.int64()),
-        "max_docid": pa.array([max_docid], pa.uint64()),
-        "blocks": pa.array([blocks], pa.int64()),
+def _docstore_parts(index_dir: str) -> list[tuple[int, int, str]]:
+    """An input's docstore parts as (lo, hi, path) in docid order, from
+    their ``docstore_part_name`` names. A 0-row file (an empty corpus's
+    ``empty.parquet``) holds nothing to merge."""
+    root = os.path.join(index_dir, "docstore")
+    parts = []
+    for f in sorted(os.listdir(root)):
+        p, m = os.path.join(root, f), _PART.fullmatch(f)
+        if m:
+            parts.append((int(m[1]), int(m[2]), p))
+        elif f.endswith(".parquet") and pq.ParquetFile(p).metadata.num_rows:
+            raise ValueError(f"docstore file {p} has no part-<lo>-<hi> "
+                             "name to plan the merge from: rebuild it")
+    return parts
+
+
+def plan_cells(inputs: list[list[tuple[int, int, str]]], big: int) -> list:
+    """Half-open docid cells ``(lo, hi, [(rank, path), ...])`` (``hi``
+    None: unbounded), each with every part of ``inputs`` (per input, its
+    ``_docstore_parts``) whose ``[lo, hi]`` overlaps it; no data read.
+    The cuts are the part lows of input ``big`` (the most docs) and the
+    other inputs' part lows above ``big``'s max docid, so ids appended
+    past the base get cells of their own, not one growing tail cell."""
+    top = inputs[big][-1][1] if inputs[big] else -1
+    cuts = sorted({lo for lo, _, _ in inputs[big]} | {
+        lo for r, ps in enumerate(inputs) if r != big
+        for lo, _, _ in ps if lo > top
     })
+    # an input's parts are docid-ordered and disjoint: sorted lows and highs
+    bounds = [([p[0] for p in ps], [p[1] for p in ps]) for ps in inputs]
+    cells = []
+    for i, lo in enumerate(cuts):
+        lo, hi = (lo if i else 0), (cuts[i + 1] if i + 1 < len(cuts) else None)
+        srcs = []
+        for rank, ((los, his), ps) in enumerate(zip(bounds, inputs)):
+            j = bisect.bisect_left(his, lo)
+            k = len(ps) if hi is None else bisect.bisect_left(los, hi)
+            srcs += [(rank, p[2]) for p in ps[j:k]]
+        cells.append((lo, hi, srcs))
+    return cells
+
+
+def _merge_cells(batch, *, cells, out_dir, shadow_ref, advice) -> pa.Table:
+    """Docstore task: each cell's surviving rows of its input parts,
+    docid-sorted, as one ``part-<lo>-<hi>`` file; returns per cell
+    (rows, sum_dl, max_docid, blocks)."""
+    shadow = ray.get(shadow_ref) if shadow_ref is not None else None
+    out = {"rows": [], "sum_dl": [], "max_docid": [], "blocks": []}
+    for i in batch["item"].to_pylist():
+        lo, hi, srcs = cells[i]
+        kept = []
+        for rank, path in srcs:
+            t = pq.read_table(path)
+            ids = t["docid"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            m = (ids >= np.uint64(lo)) & (
+                True if hi is None else ids < np.uint64(hi))
+            if shadow is not None:
+                m &= _keep_mask(ids, rank, *shadow)
+            kept.append(t.filter(pa.array(m)))
+        t = pa.concat_tables(kept).sort_by("docid")
+        docids = t["docid"].to_numpy(zero_copy_only=False)
+        if t.num_rows:
+            check_block_duplicates(docids, advice)
+            pq.write_table(t, f"{out_dir}/{docstore_part_name(docids)}")
+        for k, v in (("rows", t.num_rows), ("blocks", int(t.num_rows > 0)),
+                     ("sum_dl", _col_sum(t["doclen"])),
+                     ("max_docid", int(docids[-1]) if t.num_rows else 0)):
+            out[k].append(v)
+    return pa.table(out, schema=_CELL_PARTIAL)
+
+
+def _segment_plan(index_dirs, stats_list, n: int) -> list:
+    """Work units ``(b, [(rank, path, rebucket), ...])``, one per target
+    term bucket ``b`` some input file can hold: an input built with ``n``
+    buckets offers its ``tbucket=b`` files, any other input all its files
+    (``rebucket``: only rows with ``crc32(term) % n == b`` belong to b)."""
+    units: dict[int, list] = {}
+    for rank, (d, s) in enumerate(zip(index_dirs, stats_list)):
+        rebucket = int(s.get("num_tbuckets", n)) != n
+        root = os.path.join(d, "segments")
+        for sub in sorted(os.listdir(root)):
+            for f in sorted(os.listdir(os.path.join(root, sub))):
+                if f.endswith(".parquet"):
+                    b = int(sub.split("=")[1])
+                    for t in range(n) if rebucket else [b]:
+                        units.setdefault(t, []).append(
+                            (rank, os.path.join(root, sub, f), rebucket))
+    return sorted(units.items())
+
+
+def _remerge_buckets(batch, *, plan, out_dir, shadow_ref, avgdl, params,
+                     num_tbuckets, block_size, max_pps) -> pa.Table:
+    """Segments task: each term bucket's input rows decoded, superseded
+    and tombstoned postings dropped, re-encoded with the merged ``avgdl``
+    and written as one content-named file; returns per bucket (rows,
+    sum_df)."""
+    shadow = ray.get(shadow_ref) if shadow_ref is not None else None
+    shared: dict[str, tuple] = {}  # rebucketed files, read once per task
+    out = {"rows": [], "sum_df": []}
+    for i in batch["item"].to_pylist():
+        b, srcs = plan[i]
+        tables = []
+        for rank, path, rebucket in srcs:
+            if rebucket and path not in shared:
+                t = pq.read_table(path, columns=_SEG_COLS)
+                shared[path] = (t, np.array([
+                    zlib.crc32(x.encode()) % num_tbuckets
+                    for x in t["term"].to_pylist()]))
+            t = (shared[path][0].filter(pa.array(shared[path][1] == b))
+                 if rebucket else pq.read_table(path, columns=_SEG_COLS))
+            tables.append(t.append_column("src_rank", pa.array(
+                np.full(t.num_rows, rank, np.int64))))
+        group = pa.concat_tables(tables)
+        docids, tfs, dls, rows, _ = decode_blocks(group)
+        if shadow is not None:
+            rk = group["src_rank"].to_numpy()[rows]
+            m = _keep_mask(docids, rk, *shadow)
+            docids, tfs, dls, rows = docids[m], tfs[m], dls[m], rows[m]
+        enc = encode_bucket(
+            group["term"].to_pylist(), rows, docids, tfs, dls, avgdl,
+            params, num_tbuckets, block_size, max_pps,
+        )
+        if enc.num_rows:
+            write_content_named(enc.drop_columns(["tbucket"]),
+                                os.path.join(out_dir, f"tbucket={b}"))
+        out["rows"].append(enc.num_rows)
+        out["sum_df"].append(_col_sum(enc["df"]))
+    return pa.table(out)
+
+
+def _col_sum(col) -> int:
+    return int(col.to_numpy(zero_copy_only=False).sum()) if len(col) else 0
+
+
+def _run_units(fn, units: list, n_tasks: int, **kw) -> dict[str, list]:
+    """``fn`` over ``units`` (by index) as ``n_tasks`` Ray tasks started at
+    once (``full_width``); returns each partial column as one list."""
+    if not units:
+        return {}
+    ds = full_width(ray.data.from_items(
+        list(range(len(units))), override_num_blocks=n_tasks
+    ).map_batches(fn, fn_kwargs=kw, batch_size=None, batch_format="pyarrow"))
+    parts = partial_rows(ds)
+    return {c: [x for t in parts for x in t[c].to_pylist()]
+            for c in parts[0].column_names}
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str, **kw) -> dict:
@@ -300,10 +375,8 @@ def merge_with_decision(
             "refresh should pass only the delta index — tools/merge_job.py "
             "does this for a missing base)"
         )
-    # refuse in-place merges BEFORE any mutation: the docstore/segments
-    # phases wipe out_dir's prior contents, so out_dir aliasing an input
-    # would destroy the only copy of that index and then fail reading it
-    # (the non-destructive-refusal rule). Merge to a fresh dir and swap.
+    # refuse in-place merges BEFORE any mutation: wiping out_dir would
+    # destroy the only copy of an aliased input (non-destructive refusal)
     out_real = os.path.realpath(out_dir)
     for d in index_dirs:
         if os.path.realpath(d) == out_real:
@@ -351,42 +424,9 @@ def merge_with_decision(
     if done_stats is not None:
         return done_stats, out_decision
 
-    if upsert:
-        sh_ids, sh_win = _build_shadow(
-            index_dirs, stats_list, delete_ext_ids, delete_docids
-        )
-        shadow_ref = ray.put((sh_ids, sh_win))
-    else:
-        shadow_ref = None
-
-    keep_mask = _keep_mask  # captured as a FUNCTION (ship-by-value safe)
-
-    def _read_union(subdir: str, per_rank=None):
-        # read_parquet rejects a LIST of directories in this Ray version;
-        # read each index's dir and union (multi-source concat is native).
-        # per_rank(batch, rank) maps one input's batches: rank is a
-        # per-BRANCH constant (a post-union batch could mix inputs)
-        parts = []
-        for rank, d in enumerate(index_dirs):
-            p = ray.data.read_parquet(os.path.join(d, subdir))
-            if per_rank is not None:
-                p = p.map_batches(lambda b, _r=rank: per_rank(b, _r),
-                                  batch_format="pyarrow")
-            parts.append(p)
-        ds = parts[0]
-        for p in parts[1:]:
-            ds = ds.union(p)
-        return ds
-
-    def _tag_rank(batch: pa.Table, rank: int) -> pa.Table:
-        return batch.append_column(
-            "src_rank", pa.array(np.full(batch.num_rows, rank, np.int64))
-        )
-
-    def _doc_filter(batch: pa.Table, rank: int) -> pa.Table:
-        si, sw = ray.get(shadow_ref)
-        ids = batch["docid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.filter(pa.array(keep_mask(ids, rank, si, sw)))
+    shadow_ref = ray.put(_build_shadow(
+        index_dirs, stats_list, delete_ext_ids, delete_docids
+    )) if upsert else None
 
     out_segments = os.path.join(out_dir, "segments")
     out_docstore = os.path.join(out_dir, "docstore")
@@ -394,124 +434,88 @@ def merge_with_decision(
     os.makedirs(out_dir, exist_ok=True)
     man.drop(checkpoints, "segments")
     shutil.rmtree(out_segments, ignore_errors=True)
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    plan = {"docstore_cells": 0, "docstore_parts_read": 0}
 
     # ---- docstore first: the upsert avgdl comes from SURVIVING docs, and
-    # the ranged writer folds (N, sum_dl, max_docid) into the write pass.
-    # Its checkpoint (committed only AFTER a complete pass): a merge
-    # killed during the SEGMENTS shuffle resumes without repaying the
-    # docstore sort+rewrite — a partial docstore has no entry and is
-    # recomputed from scratch.
+    # the cell tasks fold (N, sum_dl, max_docid) into the write. Its
+    # checkpoint (committed only AFTER a complete pass) lets a merge killed
+    # during the segments pass resume without repaying the docstore.
     done, decision = man.reuse(checkpoints, "docstore", sig, resume=resume)
     if done is not None:
         doc_stats = done["doc_stats"]
     else:
         shutil.rmtree(out_docstore, ignore_errors=True)
         os.makedirs(out_docstore, exist_ok=True)
-        doc_ds = _read_union("docstore", _doc_filter if upsert else None)
-        doc_stats = _write_docstore_ranged(
-            full_width(doc_ds.sort("docid")), out_docstore, mode
-        )
+        big = max(range(len(index_dirs)),
+                  key=lambda r: (int(stats_list[r]["N"]), -r))
+        cells = plan_cells([_docstore_parts(d) for d in index_dirs], big)
+        plan = {"docstore_cells": len(cells),
+                "docstore_parts_read": sum(len(c[2]) for c in cells)}
+        # nothing upstream enforces disjoint mode's disjoint docids, and
+        # upsert arbitrates collisions away, so there a duplicate means an
+        # input itself carries one: either would double-count postings
+        advice = "in the merged docstore: " + (
+            "mode='disjoint' requires disjoint docids across inputs — use "
+            "mode='upsert' to arbitrate collisions newest-wins" if not upsert
+            else "under mode='upsert', an input index itself contains "
+            "duplicate docids (built before duplicate validation) — "
+            "rebuild that input from a deduplicated corpus")
+        tot = _run_units(_merge_cells, cells, len(cells), cells=cells,
+                         out_dir=out_docstore, shadow_ref=shadow_ref,
+                         advice=advice)
+        _check_docstore_ranges(out_docstore,
+                               expected_parts=sum(tot.get("blocks", [])))
+        doc_stats = {"rows": sum(tot.get("rows", [])),
+                     "sum_dl": sum(tot.get("sum_dl", [])),
+                     "max_docid": max(tot.get("max_docid", []), default=0)}
         if doc_stats["rows"] == 0:
             # fully-deleted corpus: keep an empty docstore file so
-            # downstream readers see the schema (mirrors build_index's
-            # empty-corpus path)
+            # downstream readers see the schema (as build_index does)
             import pyarrow.dataset as pads
-            import pyarrow.parquet as pq_
 
             schema = pads.dataset(
                 os.path.join(index_dirs[0], "docstore"), partitioning="hive"
             ).schema
-            pq_.write_table(
-                schema.empty_table(),
-                os.path.join(out_docstore, "empty.parquet"),
-            )
+            pq.write_table(schema.empty_table(),
+                           os.path.join(out_docstore, "empty.parquet"))
         man.commit(checkpoints, "docstore", sig, doc_stats=doc_stats)
     t_docstore = time.time()
 
-    if upsert:
-        n_docs = doc_stats["rows"]
-        sum_dl = doc_stats["sum_dl"]
-        max_docid = doc_stats["max_docid"]
-    else:
+    if not upsert:
         # input-stat sums: identical ints (and avgdl float) to a from-
         # scratch union build — the byte-for-byte property depends on it
-        n_docs = sum(int(s["N"]) for s in stats_list)
-        sum_dl = sum(int(s["sum_dl"]) for s in stats_list)
-        # max_docid presence was validated BEFORE any out_dir mutation
-        max_docid = max(int(s["max_docid"]) for s in stats_list)
+        # (max_docid presence was validated BEFORE any out_dir mutation)
+        doc_stats = {
+            "rows": sum(int(s["N"]) for s in stats_list),
+            "sum_dl": sum(int(s["sum_dl"]) for s in stats_list),
+            "max_docid": max(int(s["max_docid"]) for s in stats_list),
+        }
+    n_docs, sum_dl = doc_stats["rows"], doc_stats["sum_dl"]
+    max_docid = doc_stats["max_docid"]
     avgdl = (sum_dl / n_docs) if n_docs else 0.0
 
-    # ---- segments: ONE groupby(tbucket) over encoded sub-lists, re-encoded
-    # with the merged avgdl (block-max bounds depend on it). BUCKET
-    # granularity, not per-term: map_groups costs ~1ms of Python per group,
-    # which at code-scale vocabularies (100k+ terms) dominates the stage.
-    # A bucket goes through the same segment codec as build's merge_bucket
-    # (seg.decode_blocks → encode_bucket); upsert filtering in between is
-    # a single searchsorted over the decoded postings.
-    decode_blocks = seg.decode_blocks
-    encode_bucket = seg.encode_bucket
-
-    def remerge_bucket(group: pa.Table) -> pa.Table:
-        docids, tfs, dls, rows, _ = decode_blocks(group)
-        if upsert:
-            si, sw = ray.get(shadow_ref)
-            rk = group["src_rank"].to_numpy()[rows]
-            m = keep_mask(docids, rk, si, sw)
-            docids, tfs, dls, rows = docids[m], tfs[m], dls[m], rows[m]
-        return encode_bucket(
-            group["term"].to_pylist(), rows, docids, tfs, dls, avgdl,
-            params, num_tbuckets, block_size, max_pps,
-        )
-
-    from .io import write_partitioned
-
-    # The groupby key is the inputs' precomputed tbucket column
-    # (crc32(term) % num_tbuckets). If any input was built with a DIFFERENT
-    # num_tbuckets than this merge's, one term would land in two groups —
-    # duplicate slice sets with colliding slice_ids whose concatenated
-    # block ranges are non-monotonic, silently breaking BMW's
-    # searchsorted-over-block_last exactness. Recompute a uniform tbucket
-    # from term in that case (cheap: one crc32 per SLICE row, not posting).
-    seg_ds = _read_union("segments", _tag_rank if upsert else None)
-    if any(int(s.get("num_tbuckets", num_tbuckets)) != num_tbuckets
-           for s in stats_list):
-        import zlib as _zlib
-
-        def _rebucket(batch: pa.Table, _n: int = num_tbuckets) -> pa.Table:
-            crc = _zlib.crc32
-            tb = pa.array(
-                [crc(t.encode()) % _n for t in batch["term"].to_pylist()],
-                pa.int32(),
-            )
-            return batch.set_column(
-                batch.schema.get_field_index("tbucket"), "tbucket", tb
-            )
-
-        seg_ds = seg_ds.map_batches(_rebucket, batch_format="pyarrow")
-
-    # sum_cols folds (slice count, Σdf) into the write pass — a separate
-    # read_parquet+aggregate costs seconds of fixed dispatch per merge
-    # (CLAUDE.md: fold side computations into the pass touching the data)
-    final = full_width(seg_ds.groupby("tbucket").map_groups(
-        remerge_bucket, batch_format="pyarrow"
-    ))
-    wres = write_partitioned(final, out_segments, "tbucket", sum_cols=["df"])
-    # fully-tombstoned merge: no segment rows survive, but readers still
-    # need one canonical-schema file (mirrors build_index's empty-corpus
-    # guard; the docstore side already writes empty.parquet above)
-    seg.ensure_nonempty_segments(out_segments)
+    # ---- segments: one unit per target term bucket, through the segment
+    # codec with the merged avgdl, as build's merge_bucket. An input built
+    # with a DIFFERENT num_tbuckets is re-bucketed from its terms: one term
+    # in two units would give two slice sets with colliding slice_ids
+    # (silently breaking BMW's searchsorted over block_last). A task per
+    # CPU, each a run of buckets, beat a task per bucket (CHANGES.md).
+    units = _segment_plan(index_dirs, stats_list, num_tbuckets)
+    plan["segment_tasks"] = min(len(units), cpus)
+    tot = _run_units(
+        _remerge_buckets, units, plan["segment_tasks"], plan=units,
+        out_dir=out_segments, shadow_ref=shadow_ref, avgdl=avgdl,
+        params=params, num_tbuckets=num_tbuckets, block_size=block_size,
+        max_pps=max_pps,
+    )
+    seg.ensure_nonempty_segments(out_segments)  # a fully-tombstoned merge
     stats = {
-        "N": n_docs,
-        "sum_dl": sum_dl,
-        "avgdl": avgdl,
-        "max_docid": max_docid,
-        "postings": int(wres["sum_df"]),
-        "segment_slices": int(wres["rows"]),
-        "k1": params.k1,
-        "b": params.b,
-        "num_tbuckets": num_tbuckets,
-        "num_dbuckets": num_dbuckets,
-        "block_size": block_size,
+        "N": n_docs, "sum_dl": sum_dl, "avgdl": avgdl, "max_docid": max_docid,
+        "postings": sum(tot.get("sum_df", [])),
+        "segment_slices": sum(tot.get("rows", [])),
+        "k1": params.k1, "b": params.b, "num_tbuckets": num_tbuckets,
+        "num_dbuckets": num_dbuckets, "block_size": block_size,
         "head_terms_salted": 0,
         "merged_from": [os.path.abspath(d) for d in index_dirs],
         "merge_mode": mode,
@@ -520,17 +524,12 @@ def merge_with_decision(
     }
     seg.write_stats(out_dir, stats)
     write_manifest(
-        out_dir,
-        stats=stats,
-        timings={
-            "total_sec": time.time() - t0,
-            "docstore_sec": t_docstore - t0,
-            "segments_sec": time.time() - t_docstore,
-        },
-        salt_map={},
+        out_dir, stats=stats, salt_map={}, merge_plan=plan,
+        timings={"total_sec": time.time() - t0,
+                 "docstore_sec": t_docstore - t0,
+                 "segments_sec": time.time() - t_docstore},
         # build_index(resume=True) pointed at a merge output refuses
         # loudly: no build signature equals a merge's
-        resume_sig=sig,
-        resume={"docstore": decision},
+        resume_sig=sig, resume={"docstore": decision},
     )
     return stats, out_decision

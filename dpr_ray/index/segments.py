@@ -36,7 +36,7 @@ each posting's row. ``encode_bucket`` is its inverse for a whole term
 bucket: lexsort by (term, docid), one run per term, small unsalted runs
 through the batched ``encode_single_block_lists``, the rest through
 ``encode_posting_list``. Build (``merge_bucket``), merge
-(``remerge_bucket``), the query store (``SegmentStore.scored``) and the
+(``_remerge_buckets``), the query store (``SegmentStore.scored``) and the
 postings dump (``entrypoints.q_postings``) all use this pair.
 """
 

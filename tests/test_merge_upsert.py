@@ -132,9 +132,8 @@ def test_upsert_merge_equals_rebuild(ray_session, tmp_path):
 
 
 def test_merge_leaves_data_context_unchanged(ray_session, tmp_path):
-    """merge_indexes runs its docstore and segments executions with
-    per-operator reservation off on a private DataContext (util.full_width):
-    the global context and the caller's corpus Dataset keep the setting."""
+    """merge_indexes leaves per-operator reservation as it found it: the
+    global context and the caller's corpus Dataset keep the setting."""
     import ray.data
     from ray.data import DataContext
 
@@ -565,23 +564,153 @@ def test_merge_mismatched_num_tbuckets(ray_session, tmp_path):
     assert _docstore_rows(dm2) == _docstore_rows(dl2)
 
 
-def test_write_docstore_ranged_zero_blocks(ray_session, tmp_path):
-    """Dataset.aggregate returns None on a zero-row/zero-block dataset —
-    the ranged writer must return zero stats, not TypeError."""
+def test_docstore_cells_zero_rows(ray_session, tmp_path):
+    """A cell whose rows are all tombstoned writes no part and returns a
+    zero partial, and a fully tombstoned, zero-row merge returns zero
+    stats (N, sum_dl, max_docid), not a TypeError or a stale max."""
+    import ray
     import ray.data
 
-    from dpr_ray.index.merge import _write_docstore_ranged
-
-    schema = pa.schema(
-        [("docid", pa.uint64()), ("doclen", pa.int64()),
-         ("ext_id", pa.string())]
+    from dpr_ray.index.merge import (
+        _build_shadow,
+        _docstore_parts,
+        _merge_cells,
+        plan_cells,
     )
-    out = str(tmp_path / "ds")
+
+    base = corpus_mod.synth_corpus_table(8, seed=21)
+    dbase, dm = str(tmp_path / "base"), str(tmp_path / "m")
+    build_index(ray.data.from_arrow(base).repartition(2), dbase,
+                docid_strategy="hash64")
+    dels = _ext_ids(base)
+    cells = plan_cells([_docstore_parts(dbase)], 0)
+    out = str(tmp_path / "cells")
     os.makedirs(out)
-    empty = ray.data.from_arrow(schema.empty_table())
-    assert _write_docstore_ranged(empty, out, "upsert") == {
-        "rows": 0, "sum_dl": 0, "max_docid": 0,
-    }
+    shadow = ray.put(_build_shadow([dbase], [seg.read_stats(dbase)], dels))
+    parts = _merge_cells(
+        pa.table({"item": list(range(len(cells)))}), cells=cells,
+        out_dir=out, shadow_ref=shadow, advice="",
+    )
+    assert parts.num_rows == len(cells) > 0
+    assert set(parts["rows"].to_pylist()) == {0}
+    assert set(parts["blocks"].to_pylist()) == {0}
+    assert os.listdir(out) == []
+    stats = merge_indexes([dbase], dm, mode="upsert", delete_ext_ids=dels)
+    assert (stats["N"], stats["sum_dl"], stats["max_docid"]) == (0, 0, 0)
+    assert os.listdir(os.path.join(dm, "docstore")) == ["empty.parquet"]
+    # an input with no docstore part plans zero cells
+    assert plan_cells([_docstore_parts(dm)], 0) == []
+    again = merge_indexes([dm], str(tmp_path / "m2"), mode="upsert")
+    assert (again["N"], again["sum_dl"], again["max_docid"]) == (0, 0, 0)
+
+
+def test_merge_logs_no_schema_divergence(ray_session, tmp_path):
+    """Neither merge mode makes Ray Data log "Operator produced a
+    RefBundle with a different schema": a shuffle's empty partitions came
+    out schema-less and logged it twice per upsert merge."""
+    import logging
+
+    import ray.data
+
+    lines = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            lines.append(record.getMessage())
+
+    tbl = corpus_mod.synth_corpus_table(60, seed=31)
+    da, db, dd = (str(tmp_path / x) for x in ["a", "b", "d"])
+    build_index(ray.data.from_arrow(tbl.slice(0, 40)).repartition(2), da,
+                docid_strategy="hash64")
+    build_index(ray.data.from_arrow(tbl.slice(40)).repartition(2), db,
+                docid_strategy="hash64")
+    build_index(ray.data.from_arrow(_adds_table(4)), dd,
+                docid_strategy="hash64")
+    logger = logging.getLogger("ray.data")
+    handler, level = Grab(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        merge_indexes([da, dd], str(tmp_path / "up"), mode="upsert",
+                      delete_ext_ids=_ext_ids(tbl.slice(0, 3)))
+        merge_indexes([da, db], str(tmp_path / "dis"))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert not [x for x in lines if "different schema" in x], lines
+
+
+def test_chained_appends_keep_docstore_ranged(ray_session, tmp_path):
+    """Chained upserts whose deltas append provided ids above the base's
+    max: the merged docstore stays ranged, no part grows past the largest
+    input part plus the delta rows in its range (appended ids open parts
+    of their own instead of piling into one tail part), and the rows equal
+    a rebuild of the latest corpus."""
+    import ray.data
+
+    from dpr_ray.index import manifest as man
+    from dpr_ray.index.build import _check_docstore_ranges
+
+    def corpus(ids, tag):
+        t = corpus_mod.synth_corpus_table(len(ids), seed=int(ids[0]) + 7)
+        t = t.set_column(
+            t.schema.get_field_index("content"), "content",
+            pa.array([f"{c} {tag}" for c in t["content"].to_pylist()],
+                     pa.large_string()),
+        )
+        return t.append_column("docid", pa.array(ids, pa.uint64()))
+
+    def parts(d):
+        store = os.path.join(d, "docstore")
+        return {f: pads.dataset(os.path.join(store, f)).count_rows()
+                for f in os.listdir(store)}
+
+    latest = {}
+
+    def apply(t):
+        for r in t.to_pylist():
+            latest[r["docid"]] = r
+
+    base = corpus(np.arange(0, 120, dtype=np.uint64), "v0")
+    apply(base)
+    cur = str(tmp_path / "v0")
+    build_index(ray.data.from_arrow(base).repartition(4), cur,
+                docid_strategy="provided")
+    for day in (1, 2, 3):
+        lo = 120 + 40 * (day - 1)
+        upd = corpus(np.arange(day, 120, 17, dtype=np.uint64), f"v{day}")
+        adds = corpus(np.arange(lo, lo + 40, dtype=np.uint64), f"a{day}")
+        delta = pa.concat_tables([upd, adds])
+        dels = [day * 5, lo + 3]  # one base doc, one just-appended id
+        dd, nxt = str(tmp_path / f"d{day}"), str(tmp_path / f"v{day}")
+        build_index(ray.data.from_arrow(delta).repartition(2), dd,
+                    docid_strategy="provided")
+        apply(delta)
+        for x in dels:
+            latest.pop(x)
+        cap = max(max(parts(cur).values()), max(parts(dd).values()))
+        merge_indexes([cur, dd], nxt, mode="upsert", delete_docids=dels)
+        _check_docstore_ranges(os.path.join(nxt, "docstore"))
+        # the manifest shows the cell plan's read amplification
+        plan = man.read_manifest(nxt)["merge_plan"]
+        assert plan["docstore_cells"] >= len(parts(nxt))
+        assert plan["docstore_parts_read"] >= plan["docstore_cells"]
+        assert plan["segment_tasks"] >= 1
+        ids = delta["docid"].to_numpy()
+        for name, rows in parts(nxt).items():
+            assert re.fullmatch(r"part-\d{20}-\d{20}\.parquet", name), name
+            p_lo, p_hi = int(name[5:25]), int(name[26:46])
+            in_range = int(((ids >= p_lo) & (ids <= p_hi)).sum())
+            assert rows <= cap + in_range, (day, name, rows, cap, in_range)
+        cur = nxt
+    rebuilt = str(tmp_path / "rebuilt")
+    final = pa.Table.from_pylist(
+        [latest[k] for k in sorted(latest)], schema=base.schema
+    )
+    build_index(ray.data.from_arrow(final).repartition(3), rebuilt,
+                docid_strategy="provided")
+    assert _docstore_rows(cur) == _docstore_rows(rebuilt)
+    assert _segment_rows(cur) == _segment_rows(rebuilt)
 
 
 def _sig(deletes=None, docids=None, **kw):
@@ -1046,8 +1175,8 @@ def test_executor_rejects_unknown_method_and_join_mode(
 
 
 def _merge_groups(index_dirs, with_rank):
-    """merge's shuffle input, made in-process: every input's segment rows
-    (tagged with the input's rank for upsert), grouped by tbucket."""
+    """merge's per-bucket input, made in-process: every input's segment
+    rows (tagged with the input's rank for upsert), grouped by tbucket."""
     parts = []
     for rank, d in enumerate(index_dirs):
         t = pads.dataset(os.path.join(d, "segments"), partitioning="hive").to_table()

@@ -524,6 +524,43 @@ def test_index_cache_key_tracks_input_fingerprint(ray_session, tmp_path):
         shutil.rmtree(d, ignore_errors=True)
 
 
+def test_postings_dump_ids_exact_or_refused(ray_session, tmp_path):
+    """q_postings decodes a provided-id index at docid 2^63-1 exactly and
+    refuses 2^63 (an int64 docid column cannot hold it) instead of
+    wrapping it to a negative docid."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+
+    from dpr_ray import entrypoints as ep
+
+    top = 2**63 - 1
+    for big, sub in ((top, "ok"), (2**63, "over")):
+        sf = tmp_path / sub
+        sf.mkdir()
+        pq.write_table(pa.table({
+            "doc_id": pa.array([7, big], pa.uint64()),
+            "text": ["alpha beta", "beta gamma"],
+            "lang": ["en", "en"],
+            "source": ["s", "s"],
+        }), str(sf / "documents.parquet"))
+        idx = ep.ensure_index(str(sf))
+        try:
+            if big == top:
+                got = ep.q_postings(str(sf)).to_pandas()
+                assert sorted(zip(got["term"], got["docid"], got["tf"])) == [
+                    ("alpha", 7, 1), ("beta", 7, 1), ("beta", top, 1),
+                    ("gamma", top, 1),
+                ]
+            else:
+                with pytest.raises(Exception, match="outside int64"):
+                    ep.q_postings(str(sf)).materialize()
+        finally:
+            shutil.rmtree(idx, ignore_errors=True)
+
+
 def seg_read_stats(index_dir):
     from dpr_ray.index.segments import read_stats
 
